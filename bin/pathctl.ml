@@ -1479,15 +1479,23 @@ let query_eval_cmd =
             Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
               ~cancel ()
           in
-          let answers ast =
+          (* the graph's typing does not depend on the query: one pass
+             per run, forced by the first query *)
+          let typed =
             match schema with
             | Some schema when not untyped ->
+                Some (schema, lazy (Rpq.Typecheck.type_graph schema g))
+            | _ -> None
+          in
+          let answers ast =
+            match typed with
+            | Some (schema, class_of) ->
                 let tc = Rpq.Typecheck.run schema ast in
-                let class_of = Rpq.Typecheck.type_graph schema g in
+                let class_of = Lazy.force class_of in
                 let ctl = Core.Engine.start budget in
                 let interrupt () = not (Core.Engine.tick ctl ()) in
                 Rpq.Eval.eval_typed ~interrupt ~class_of tc g
-            | _ -> Rpq.Eval.eval g (Rpq.Parser.regex_of ast)
+            | None -> Rpq.Eval.eval g (Rpq.Parser.regex_of ast)
           in
           let qstr ast = Rpq.Regex.to_string (Rpq.Parser.regex_of ast) in
           Core.Engine.Cancel.with_sigint cancel (fun () ->

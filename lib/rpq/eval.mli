@@ -48,6 +48,12 @@ val eval_from_typed :
     evaluator restricts answers to matches witnessed inside
     [Paths(Delta)].  [interrupt] is polled once per dequeued product
     pair.
+
+    The checker's automaton is compiled once per call (eps-closures and
+    eps-closed successor sets per state, admissibility per sort), so a
+    pair costs no automaton work.  Per-call memory is O(touched pairs +
+    |Q| * |Sigma_q|); nothing is sized by the graph and nothing survives
+    the call.
     @raise Interrupted when [interrupt] fires mid-search. *)
 
 val eval_typed :

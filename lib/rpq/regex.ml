@@ -110,29 +110,56 @@ let parse_exn src =
 
 let parse src = match parse_exn src with r -> Ok r | exception Err m -> Error m
 
-let rec to_string_prec outer r =
+(* The printer walks the term once to measure the output and once to
+   write it into a buffer of exactly that size, so its time and its
+   allocation are linear in the output; it renders every PC8xx message
+   and every [query eval] line, whatever the query's size. *)
+let render ~str ~chr r =
   let prec = function
     | Alt _ -> 0
     | Concat _ -> 1
     | Star _ -> 2
     | Eps | Letter _ -> 3
   in
-  let s =
-    match r with
-    | Eps -> "eps"
-    | Letter k -> Label.to_string k
+  let rec go outer r =
+    let paren = prec r < outer in
+    if paren then chr '(';
+    (match r with
+    | Eps -> str "eps"
+    | Letter k -> str (Label.to_string k)
     (* [.] and [|] parse right-associatively, so a left-nested child at
        the operator's own level must be parenthesized — printing
        Concat (Concat (a, b), c) as "a.b.c" would re-parse as
        Concat (a, Concat (b, c)), breaking parse ∘ print = id (the
        round-trip property in test_rpq) *)
-    | Concat (a, b) -> to_string_prec 2 a ^ "." ^ to_string_prec 1 b
-    | Alt (a, b) -> to_string_prec 1 a ^ "|" ^ to_string_prec 0 b
-    | Star a -> to_string_prec 3 a ^ "*"
+    | Concat (a, b) ->
+        go 2 a;
+        chr '.';
+        go 1 b
+    | Alt (a, b) ->
+        go 1 a;
+        chr '|';
+        go 0 b
+    | Star a ->
+        go 3 a;
+        chr '*');
+    if paren then chr ')'
   in
-  if prec r < outer then "(" ^ s ^ ")" else s
+  go 0 r
 
-let to_string = to_string_prec 0
+let to_string r =
+  let len = ref 0 in
+  render r ~str:(fun s -> len := !len + String.length s) ~chr:(fun _ -> incr len);
+  let out = Bytes.create !len and pos = ref 0 in
+  render r
+    ~str:(fun s ->
+      Bytes.blit_string s 0 out !pos (String.length s);
+      pos := !pos + String.length s)
+    ~chr:(fun c ->
+      Bytes.set out !pos c;
+      incr pos);
+  Bytes.unsafe_to_string out
+
 let pp ppf r = Format.pp_print_string ppf (to_string r)
 
 let rec labels_used = function

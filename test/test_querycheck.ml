@@ -465,6 +465,112 @@ let test_typed_untyped_differential () =
       (NS.equal untyped typed_nosorts)
   done
 
+(* --- the compiled kernel against the pair-at-a-time oracle ------------------ *)
+
+(* [f] run with an [interrupt] that never fires but counts its polls. *)
+let with_polls f =
+  let n = ref 0 in
+  let ns =
+    f ~interrupt:(fun () ->
+        incr n;
+        false)
+  in
+  (ns, !n)
+
+let random_graph rng labels ~nodes ~edges =
+  let g = Graph.create () in
+  for _ = 2 to nodes do
+    ignore (Graph.add_node g)
+  done;
+  let labels = Array.of_list labels in
+  for _ = 1 to edges do
+    Graph.add_edge g (Random.State.int rng nodes)
+      labels.(Random.State.int rng (Array.length labels))
+      (Random.State.int rng nodes)
+  done;
+  g
+
+let check_kernel_matches_oracle what ?class_of tc g =
+  let kernel, kernel_polls =
+    with_polls (fun ~interrupt -> Eval.eval_typed ~interrupt ?class_of tc g)
+  in
+  let oracle, oracle_polls =
+    with_polls (fun ~interrupt -> Typed_oracle.eval_typed ~interrupt ?class_of tc g)
+  in
+  Alcotest.(check bool) (what ^ ": answers") true (NS.equal oracle kernel);
+  Alcotest.(check int) (what ^ ": interrupt polls") oracle_polls kernel_polls
+
+let test_kernel_oracle_differential () =
+  let rng = Random.State.make [| 0xC0DE |] in
+  let foreign = Label.make "zzz" in
+  for i = 1 to 150 do
+    let schema = random_schema rng in
+    let labels = foreign :: schema_labels schema in
+    let ast = random_query rng labels in
+    let tc = Typecheck.run schema ast in
+    let what kind =
+      Printf.sprintf "case %d, %s, %S" i kind
+        (Regex.to_string (Qparser.regex_of ast))
+    in
+    let st =
+      Schema.Instance.to_structure
+        (Instance_gen.random ~rng
+           ~oids_per_class:(1 + Random.State.int rng 2)
+           schema)
+    in
+    let g = st.Stypecheck.graph in
+    check_kernel_matches_oracle (what "conforming")
+      ~class_of:(Stypecheck.type_of st) tc g;
+    let h =
+      random_graph rng labels
+        ~nodes:(2 + Random.State.int rng 12)
+        ~edges:(Random.State.int rng 30)
+    in
+    check_kernel_matches_oracle (what "non-conforming")
+      ~class_of:(Typecheck.type_graph schema h) tc h;
+    check_kernel_matches_oracle (what "conforming, no class_of") tc g;
+    check_kernel_matches_oracle (what "non-conforming, no class_of") tc h
+  done
+
+(* The rpq-eval bench workload (bench/main.ml): a [ref] chain of n books
+   under a query whose [(ref)*.name] branch is schema-dead after
+   [wrote].  The typed evaluator must not enter the chain, so it polls
+   [interrupt] as often at n = 1024 as at n = 64: the cell's O(1) claim,
+   pinned. *)
+let ref_chain_graph n =
+  let person = 1 and name_leaf = 2 in
+  let book i = 3 + i in
+  let edges =
+    ref [ (0, "person", person); (person, "wrote", book 0); (person, "name", name_leaf) ]
+  in
+  for i = 0 to n - 1 do
+    edges := (book i, "author", person) :: !edges;
+    if i < n - 1 then edges := (book i, "ref", book (i + 1)) :: !edges
+  done;
+  Graph.of_edges !edges
+
+let test_dead_branch_polls_constant () =
+  let ast = parse_q "person.wrote.((ref)*.name | author.name)" in
+  let tc = Typecheck.run Mschema.bib_m ast in
+  let polls ~typed n =
+    let g = ref_chain_graph n in
+    let class_of = if typed then Some (Typecheck.type_graph Mschema.bib_m g) else None in
+    let ns, polls =
+      with_polls (fun ~interrupt -> Eval.eval_typed ~interrupt ?class_of tc g)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "answers at n=%d" n)
+      true
+      (NS.equal (Eval.eval g (Qparser.regex_of ast)) ns);
+    polls
+  in
+  List.iter
+    (fun typed ->
+      Alcotest.(check int)
+        (Printf.sprintf "polls at n=1024 = polls at n=64 (class_of: %b)" typed)
+        (polls ~typed 64) (polls ~typed 1024))
+    [ false; true ]
+
 let test_typed_prunes_on_sparse_schema () =
   (* the workload the bench records: a query whose continuation is dead
      from most sorts.  The typed evaluator must explore strictly fewer
@@ -696,6 +802,10 @@ let () =
             `Quick test_typed_untyped_differential;
           Alcotest.test_case "sparse-schema pruning answers" `Quick
             test_typed_prunes_on_sparse_schema;
+          Alcotest.test_case "compiled kernel = oracle (150 cases)" `Quick
+            test_kernel_oracle_differential;
+          Alcotest.test_case "dead branch: constant polls" `Quick
+            test_dead_branch_polls_constant;
           Alcotest.test_case "budget trips mid-product" `Quick
             test_budget_trips_mid_product;
           Alcotest.test_case "CLI typed/untyped agree" `Quick

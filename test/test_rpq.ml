@@ -104,6 +104,75 @@ let test_print_precedence () =
   check_string "right-nested concat" "a.b.c"
     (Regex.to_string (Regex.Concat (a, Regex.Concat (b, c))))
 
+(* The printer before it became Buffer-based, kept as the reference its
+   output must match byte for byte. *)
+let rec reference_to_string_prec outer r =
+  let prec = function
+    | Regex.Alt _ -> 0
+    | Regex.Concat _ -> 1
+    | Regex.Star _ -> 2
+    | Regex.Eps | Regex.Letter _ -> 3
+  in
+  let s =
+    match r with
+    | Regex.Eps -> "eps"
+    | Regex.Letter k -> Label.to_string k
+    | Regex.Concat (a, b) ->
+        reference_to_string_prec 2 a ^ "." ^ reference_to_string_prec 1 b
+    | Regex.Alt (a, b) ->
+        reference_to_string_prec 1 a ^ "|" ^ reference_to_string_prec 0 b
+    | Regex.Star a -> reference_to_string_prec 3 a ^ "*"
+  in
+  if prec r < outer then "(" ^ s ^ ")" else s
+
+let prop_printer_matches_reference =
+  let rec raw depth =
+    (* raw constructors too, so left-nested terms are covered *)
+    QCheck.Gen.(
+      if depth = 0 then oneof [ return Regex.Eps; map Regex.letter gen_label ]
+      else
+        frequency
+          [
+            (2, map Regex.letter gen_label);
+            (1, return Regex.Eps);
+            (2, map2 (fun a b -> Regex.Concat (a, b)) (raw (depth - 1)) (raw (depth - 1)));
+            (2, map2 (fun a b -> Regex.Alt (a, b)) (raw (depth - 1)) (raw (depth - 1)));
+            (1, map (fun a -> Regex.Star a) (raw (depth - 1)));
+          ])
+  in
+  q ~count:500 "to_string = the reference printer, byte for byte"
+    (QCheck.make (raw 5) ~print:Regex.to_string)
+    (fun r -> Regex.to_string r = reference_to_string_prec 0 r)
+
+(* Printing is linear in the size of the term: a 16k-label chain
+   allocates less than 6x what a 4k chain does (a quadratic printer
+   allocates ~17x).  Gc.allocated_bytes is deterministic and counts the
+   long strings, which go straight to the major heap. *)
+let test_printer_scales_linearly () =
+  let chain ~left n =
+    let letters = List.init n (fun i -> Regex.letter (Label.make (Printf.sprintf "l%d" i))) in
+    if left then List.fold_left (fun acc r -> Regex.Concat (acc, r)) (List.hd letters) (List.tl letters)
+    else List.fold_right (fun r acc -> Regex.Concat (r, acc)) (List.tl letters) (List.hd letters)
+  in
+  let allocated r =
+    (* promote the freshly built chain first, so that a minor
+       collection cannot land inside the measurement *)
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Regex.to_string r));
+    Gc.allocated_bytes () -. a0
+  in
+  List.iter
+    (fun left ->
+      let small = allocated (chain ~left 4096) and large = allocated (chain ~left 16384) in
+      check_bool
+        (Printf.sprintf "%s chain: 16k/4k allocation %.2f < 6"
+           (if left then "left-nested" else "right-nested")
+           (large /. small))
+        true
+        (large < 6. *. small))
+    [ false; true ]
+
 let test_parser_spans () =
   match Rpq.Parser.parse "book.(ref)*.author" with
   | Error e -> Alcotest.failf "parse: %s" (Rpq.Parser.error_to_string e)
@@ -276,6 +345,9 @@ let () =
           prop_exact_roundtrip;
           prop_span_parser_agrees;
           Alcotest.test_case "printer precedence" `Quick test_print_precedence;
+          prop_printer_matches_reference;
+          Alcotest.test_case "printer scales linearly" `Quick
+            test_printer_scales_linearly;
           Alcotest.test_case "token spans" `Quick test_parser_spans;
           Alcotest.test_case "matches" `Quick test_matches;
           prop_of_path_matches;
