@@ -627,16 +627,18 @@ let lint_workload n =
   match Pathlang.Parser.document_of_string src with
   | Ok doc ->
       {
-        Analysis.Lint.sigma_file = "<bench>";
-        sigma = doc.Pathlang.Parser.constraints;
-        pragmas = doc.Pathlang.Parser.pragmas;
-        schema = Some Mschema.bib_m;
-        schema_file = None;
-        schema_spans = None;
+        Analysis.Lint.env =
+          {
+            Analysis.Driver.file = "<bench>";
+            schema = Some Mschema.bib_m;
+            schema_file = None;
+            schema_spans = None;
+            config = Analysis.Config.default;
+            explain = false;
+            pool = None;
+          };
+        doc;
         phi = None;
-        config = Analysis.Config.default;
-        explain = false;
-        interact = false;
       }
   | Error _ -> failwith "bench lint workload must parse"
 

@@ -964,6 +964,170 @@ let index_cmd =
           1-index, strong DataGuide) for a graph")
     Term.(ret (const run $ graph_arg))
 
+(* --- analyzer reports ------------------------------------------------------------ *)
+
+(* lint, interact, query lint and query explain share their report
+   options and their render -> write -> exit tail.  The gated commands
+   (lint, query lint) also take --cache and --max-warnings; the filtered
+   views (interact, query explain) neither take a cache flag nor gate on
+   warnings. *)
+type report = {
+  format : [ `Text | `Json | `Sarif ];
+  output : string option;
+  config : string option;
+  cache : string option;
+  max_warnings : int option;
+  gated : bool;
+  jobs : int;
+  trace : string option;
+  stats : [ `Text | `Json ] option;
+  metrics : string option;
+  audit : string option;
+}
+
+let report_term ~gated =
+  let format =
+    Arg.(
+      value
+      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
+      & info [ "format" ] ~docv:"FMT"
+          ~doc:
+            "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
+             or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
+  in
+  let output =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"Write the report to $(docv) instead of standard output.")
+  in
+  let config =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "config" ] ~docv:"FILE"
+          ~doc:
+            "Analyzer configuration (a small TOML subset): per-code and \
+             per-family severity overrides, pass selection, and defaults \
+             for --explain, --cache and --max-warnings.  Explicit flags win \
+             over the file.")
+  in
+  let cache =
+    if not gated then Term.const None
+    else
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "cache" ] ~docv:"DIR"
+            ~doc:
+              "Content-hash result cache: re-running on unchanged inputs \
+               skips every pass (hits/misses appear in --stats as \
+               lint.cache.*).  The directory is created on demand.")
+  in
+  let max_warnings =
+    if not gated then Term.const None
+    else
+      Arg.(
+        value
+        & opt (some int) None
+        & info [ "max-warnings" ] ~docv:"N"
+            ~doc:
+              "Exit 1 when more than $(docv) warning-severity diagnostics \
+               fire (errors always exit 1), so CI can gate on warnings \
+               without parsing SARIF.")
+  in
+  Term.(
+    const
+      (fun format output config cache max_warnings jobs trace stats metrics
+           audit ->
+        {
+          format;
+          output;
+          config;
+          cache;
+          max_warnings;
+          gated;
+          jobs;
+          trace;
+          stats;
+          metrics;
+          audit;
+        })
+    $ format $ output $ config $ cache $ max_warnings $ jobs_arg $ trace_arg
+    $ stats_arg $ metrics_arg $ audit_arg)
+
+let analyze r ?schema_file ~explain ~file analyzer pool =
+  Analysis.Driver.run ?pool ?schema_file ?config_file:r.config
+    ?cache_dir:r.cache ~explain ~file analyzer
+
+(* Run [f] in the observability bracket with a pool of -j workers, keep
+   the diagnostics [keep] selects, render them to -o (or standard
+   output), and exit: 1 on an error-severity diagnostic or, for gated
+   commands, on more warnings than the flag's threshold (else the one
+   the driver read from the config); 2 when [f] could not run. *)
+let report ~cmd ?(keep = fun _ -> true) r f =
+  let code =
+    with_obs ~cmd ~always:true ?metrics:r.metrics ?audit:r.audit
+      ~trace:r.trace ~stats:r.stats (fun () ->
+        match Par.with_pool ~jobs:r.jobs f with
+        | Error m ->
+            prerr_endline (cmd ^ ": error: " ^ m);
+            2
+        | Ok (o : Analysis.Driver.outcome) ->
+            let diags = List.filter keep o.diags in
+            let rendered =
+              match r.format with
+              | `Text -> Analysis.Diagnostic.render_text diags
+              | `Json -> Analysis.Diagnostic.render_json diags
+              | `Sarif -> Analysis.Diagnostic.render_sarif diags
+            in
+            (match r.output with
+            | None -> print_string rendered
+            | Some file ->
+                Out_channel.with_open_text file (fun oc ->
+                    Out_channel.output_string oc rendered));
+            let max_warnings =
+              match r.max_warnings with
+              | Some _ as flag -> flag
+              | None -> if r.gated then o.max_warnings else None
+            in
+            Analysis.Lint.exit_code ?max_warnings diags)
+  in
+  exit code
+
+(* Filtered views keep the load/parse errors: a file that did not parse
+   has no findings, and the consumer must see why. *)
+let input_error d =
+  List.mem d.Analysis.Diagnostic.code [ "PC001"; "PC002"; "PC003" ]
+
+(* lint and interact: the budget of the best-effort passes, cancellable
+   by SIGINT *)
+let budget_term =
+  let timeout_arg =
+    Arg.(
+      value & opt float 5.
+      & info [ "timeout" ] ~docv:"SECS"
+          ~doc:
+            "Wall-clock deadline for the budgeted passes (best-effort \
+             redundancy and interaction analysis); exhaustion is reported \
+             (PC302, PC703), never silent.  The exact passes are not \
+             affected.")
+  in
+  let steps_arg =
+    Arg.(
+      value & opt int 512
+      & info [ "max-steps" ] ~docv:"N"
+          ~doc:"Step/node budget per best-effort chase call.")
+  in
+  Term.(
+    const (fun timeout steps ->
+        let cancel = Core.Engine.Cancel.create () in
+        ( cancel,
+          Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
+            ~cancel () ))
+    $ timeout_arg $ steps_arg)
+
 (* --- lint ------------------------------------------------------------------------ *)
 
 let lint_cmd =
@@ -985,46 +1149,6 @@ let lint_cmd =
             "Optional goal constraint; sharpens the fragment classification \
              (prefix-boundedness is determined by the goal).")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
-             or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the report to $(docv) instead of standard output.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Wall-clock deadline for the budgeted passes (best-effort \
-             redundancy); the exact passes are not affected.")
-  in
-  let steps_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Step/node budget per best-effort chase call.")
-  in
-  let config_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "config" ] ~docv:"FILE"
-          ~doc:
-            "Analyzer configuration (a small TOML subset): per-code severity \
-             overrides, pass selection, and defaults for --explain, --cache \
-             and --max-warnings.  Explicit flags win over the file.")
-  in
   let fix_arg =
     Arg.(
       value & flag
@@ -1043,26 +1167,6 @@ let lint_cmd =
             "With a schema: print the inferred sort (class set) at each \
              step of every constraint's walks as PC602 diagnostics.")
   in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:
-            "Exit 1 when more than $(docv) warning-severity diagnostics \
-             fire (errors always exit 1), so CI can gate on warnings \
-             without parsing SARIF.")
-  in
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:
-            "Content-hash result cache: re-running on unchanged inputs \
-             skips every pass (hits/misses appear in --stats as \
-             lint.cache.*).  The directory is created on demand.")
-  in
   let interact_arg =
     Arg.(
       value & flag
@@ -1074,76 +1178,36 @@ let lint_cmd =
              default; a config file's [passes] interact = true is \
              equivalent.")
   in
-  let run sigma_file schema_file phi config fix explain interact max_warnings
-      cache format output timeout steps jobs trace stats metrics audit =
-    let code =
-      with_obs ~cmd:"lint" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let cancel = Core.Engine.Cancel.create () in
-          let budget =
-            Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
-              ~cancel ()
-          in
-          (* the warning threshold may come from the config file; the
-             explicit flag wins *)
-          let max_warnings =
-            match max_warnings with
-            | Some _ -> max_warnings
-            | None -> (
-                match config with
-                | None -> None
-                | Some path -> (
-                    match Analysis.Config.load path with
-                    | Ok c -> c.Analysis.Config.max_warnings
-                    | Error _ -> None))
-          in
-          let finish diags =
-            let rendered =
-              match format with
-              | `Text -> Analysis.Diagnostic.render_text diags
-              | `Json -> Analysis.Diagnostic.render_json diags
-              | `Sarif -> Analysis.Diagnostic.render_sarif diags
+  let run sigma_file schema_file phi fix explain interact (cancel, budget) r =
+    report ~cmd:"lint" r (fun pool ->
+        Core.Engine.Cancel.with_sigint cancel (fun () ->
+            let lint ?cache ~interact () =
+              analyze { r with cache } ?schema_file ~explain ~file:sigma_file
+                (Analysis.Lint.analyzer ~budget ?phi ~interact ())
+                pool
             in
-            (match output with
-            | None -> print_string rendered
-            | Some file ->
-                Out_channel.with_open_text file (fun oc ->
-                    Out_channel.output_string oc rendered));
-            if
-              stats <> None
-              && List.exists
-                   (fun d -> d.Analysis.Diagnostic.code = "PC302")
-                   diags
-            then
-              prerr_endline
-                "lint: warning: the redundancy pass was truncated by its \
-                 budget (PC302); its timings below are a lower bound";
-            (* exit codes: 0 clean (warnings under the threshold allowed),
-               1 an error-severity diagnostic or too many warnings *)
-            Analysis.Lint.exit_code ?max_warnings diags
-          in
-          Core.Engine.Cancel.with_sigint cancel (fun () ->
+            let result =
               if fix then
-                match
-                  Analysis.Fix.fix_file ~budget ?schema_file ?phi
-                    ?config_file:config ~explain ~sigma_file ()
-                with
-                | Error m ->
-                    prerr_endline ("lint: error: " ^ m);
-                    2
-                | Ok (n, diags) ->
-                    if n > 0 then
-                      Printf.eprintf "lint: applied %d autofix(es) to %s\n%!"
-                        n sigma_file;
-                    finish diags
-              else
-                finish
-                  (Par.with_pool ~jobs (fun pool ->
-                       Analysis.Lint.lint_paths ~budget ?pool ?schema_file
-                         ?phi ?config_file:config ?cache_dir:cache ~explain
-                         ~interact ~sigma_file ()))))
-    in
-    exit code
+                Analysis.Fix.fix_file ~sigma_file
+                  ~lint:(lint ~interact:false)
+                |> Result.map (fun (n, o) ->
+                       if n > 0 then
+                         Printf.eprintf "lint: applied %d autofix(es) to %s\n%!"
+                           n sigma_file;
+                       o)
+              else Ok (lint ?cache:r.cache ~interact ())
+            in
+            (match result with
+            | Ok o
+              when r.stats <> None
+                   && List.exists
+                        (fun d -> d.Analysis.Diagnostic.code = "PC302")
+                        o.Analysis.Driver.diags ->
+                prerr_endline
+                  "lint: warning: the redundancy pass was truncated by its \
+                   budget (PC302); its timings below are a lower bound"
+            | _ -> ());
+            result))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1160,13 +1224,8 @@ let lint_cmd =
           constraint-interaction analyzer (PC700-PC703).  Exits 1 iff an \
           error-severity diagnostic fired or --max-warnings was exceeded.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j k l m n o p q r ->
-             `Ok (run a b c d e f g h i j k l m n o p q r))
-        $ sigma_arg $ schema_opt_arg $ phi_opt_arg $ config_arg $ fix_arg
-        $ explain_arg $ interact_arg $ max_warnings_arg $ cache_arg
-        $ format_arg $ output_arg $ timeout_arg $ steps_arg $ jobs_arg
-        $ trace_arg $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ sigma_arg $ schema_opt_arg $ phi_opt_arg $ fix_arg
+      $ explain_arg $ interact_arg $ budget_term $ report_term ~gated:true)
 
 (* --- interact -------------------------------------------------------------------- *)
 
@@ -1181,46 +1240,6 @@ let interact_cmd =
              path-vs-type provenance (both need a kind-M schema); without \
              one only the untyped implication DAG (PC701) is computed.")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
-             or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the report to $(docv) instead of standard output.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Wall-clock deadline for the whole analysis; exhaustion is \
-             reported as a PC703 hint, never silently.")
-  in
-  let steps_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Step/node budget per best-effort chase call.")
-  in
-  let config_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "config" ] ~docv:"FILE"
-          ~doc:
-            "Analyzer configuration (the same TOML subset as $(b,lint)): \
-             severity overrides — including the PC7xx family key — are \
-             applied to the report.")
-  in
   let explain_arg =
     Arg.(
       value & flag
@@ -1231,46 +1250,18 @@ let interact_cmd =
              the word-equality reading (Lemmas 4.7/4.8) behind a \
              path-vs-type interaction.")
   in
-  let run sigma_file schema_file config explain format output timeout steps
-      jobs trace stats metrics audit =
-    let code =
-      with_obs ~cmd:"interact" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let cancel = Core.Engine.Cancel.create () in
-          let budget =
-            Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
-              ~cancel ()
-          in
-          Core.Engine.Cancel.with_sigint cancel (fun () ->
-              let diags =
-                Par.with_pool ~jobs (fun pool ->
-                    Analysis.Lint.lint_paths ~budget ?pool ?schema_file
-                      ?config_file:config ~explain ~interact:true ~sigma_file
-                      ())
-              in
-              (* The interaction report: the PC7xx family plus the
-                 load/parse errors (a file that didn't parse has no
-                 interaction analysis — the consumer must see why). *)
-              let mine d =
-                let c = d.Analysis.Diagnostic.code in
-                String.length c = 5
-                && (c.[2] = '7' || c = "PC001" || c = "PC002" || c = "PC003")
-              in
-              let diags = List.filter mine diags in
-              let rendered =
-                match format with
-                | `Text -> Analysis.Diagnostic.render_text diags
-                | `Json -> Analysis.Diagnostic.render_json diags
-                | `Sarif -> Analysis.Diagnostic.render_sarif diags
-              in
-              (match output with
-              | None -> print_string rendered
-              | Some file ->
-                  Out_channel.with_open_text file (fun oc ->
-                      Out_channel.output_string oc rendered));
-              Analysis.Lint.exit_code diags))
-    in
-    exit code
+  let run sigma_file schema_file explain (cancel, budget) r =
+    (* the interaction report: the PC7xx family and the input errors *)
+    report ~cmd:"interact" r
+      ~keep:(fun d ->
+        String.starts_with ~prefix:"PC7" d.Analysis.Diagnostic.code
+        || input_error d)
+      (fun pool ->
+        Core.Engine.Cancel.with_sigint cancel (fun () ->
+            Ok
+              (analyze r ?schema_file ~explain ~file:sigma_file
+                 (Analysis.Lint.analyzer ~budget ~interact:true ())
+                 pool)))
   in
   Cmd.v
     (Cmd.info "interact"
@@ -1283,12 +1274,8 @@ let interact_cmd =
           derivation chains.  Equivalent to lint --interact filtered to \
           the PC7xx family.  Exits 1 iff a core was found.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j k l m ->
-             `Ok (run a b c d e f g h i j k l m))
-        $ sigma_arg $ schema_opt_arg $ config_arg $ explain_arg $ format_arg
-        $ output_arg $ timeout_arg $ steps_arg $ jobs_arg $ trace_arg
-        $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ sigma_arg $ schema_opt_arg $ explain_arg $ budget_term
+      $ report_term ~gated:false)
 
 (* --- query ----------------------------------------------------------------------- *)
 
@@ -1317,46 +1304,6 @@ let query_schema_arg =
           "Schema (kind M): enables the PC8xx typechecking pass — without \
            it queries are only parsed.")
 
-let query_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
-           or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
-
-let query_output_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write the report to $(docv) instead of standard output.")
-
-let query_config_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "config" ] ~docv:"FILE"
-        ~doc:
-          "Analyzer configuration (the same TOML subset as $(b,lint)): \
-           severity overrides — including the PC8xx family key — the \
-           [passes] querycheck switch, and defaults for --explain, \
-           --cache and --max-warnings.")
-
-let render_query_diags ~format ~output diags =
-  let rendered =
-    match format with
-    | `Text -> Analysis.Diagnostic.render_text diags
-    | `Json -> Analysis.Diagnostic.render_json diags
-    | `Sarif -> Analysis.Diagnostic.render_sarif diags
-  in
-  match output with
-  | None -> print_string rendered
-  | Some file ->
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc rendered)
-
 let query_lint_cmd =
   let explain_arg =
     Arg.(
@@ -1366,51 +1313,11 @@ let query_lint_cmd =
             "Also emit PC803 type-flow annotations: the inferred sort set \
              after every letter of every query, and the answer sorts.")
   in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:
-            "Exit 1 when more than $(docv) warning-severity diagnostics \
-             fire (errors always exit 1).")
-  in
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:
-            "Content-hash result cache: re-running on unchanged query, \
-             schema and config files skips the pass (hits/misses appear \
-             in --stats as lint.cache.*).")
-  in
-  let run query_file schema_file config explain max_warnings cache format
-      output jobs trace stats metrics audit =
-    let code =
-      with_obs ~cmd:"query.lint" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let max_warnings =
-            match max_warnings with
-            | Some _ -> max_warnings
-            | None -> (
-                match config with
-                | None -> None
-                | Some path -> (
-                    match Analysis.Config.load path with
-                    | Ok c -> c.Analysis.Config.max_warnings
-                    | Error _ -> None))
-          in
-          let diags =
-            Par.with_pool ~jobs (fun pool ->
-                Analysis.Querycheck.lint_queries ?pool ?schema_file
-                  ?config_file:config ?cache_dir:cache ~explain ~query_file
-                  ())
-          in
-          render_query_diags ~format ~output diags;
-          Analysis.Lint.exit_code ?max_warnings diags)
-    in
-    exit code
+  let run query_file schema_file explain r =
+    report ~cmd:"query.lint" r (fun pool ->
+        Ok
+          (analyze r ?schema_file ~explain ~file:query_file
+             Analysis.Querycheck.analyzer pool))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1425,12 +1332,8 @@ let query_lint_cmd =
           as $(b,pathctl lint).  Exits 1 iff an error-severity diagnostic \
           fired or --max-warnings was exceeded.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j k l m ->
-             `Ok (run a b c d e f g h i j k l m))
-        $ query_file_arg $ query_schema_arg $ query_config_arg $ explain_arg
-        $ max_warnings_arg $ cache_arg $ query_format_arg $ query_output_arg
-        $ jobs_arg $ trace_arg $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ query_file_arg $ query_schema_arg $ explain_arg
+      $ report_term ~gated:true)
 
 let query_eval_cmd =
   let untyped_arg =
@@ -1549,28 +1452,14 @@ let query_eval_cmd =
         $ audit_arg))
 
 let query_explain_cmd =
-  let run query_file schema_file config format output jobs trace stats metrics
-      audit =
-    let code =
-      with_obs ~cmd:"query.explain" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let diags =
-            Par.with_pool ~jobs (fun pool ->
-                Analysis.Querycheck.lint_queries ?pool ?schema_file
-                  ?config_file:config ~explain:true ~query_file ())
-          in
-          (* the explanation report: the PC803 chains plus the load/parse
-             errors (a file that didn't parse has no chains — the
-             consumer must see why) *)
-          let mine d =
-            let c = d.Analysis.Diagnostic.code in
-            c = "PC803" || c = "PC001" || c = "PC002" || c = "PC003"
-          in
-          let diags = List.filter mine diags in
-          render_query_diags ~format ~output diags;
-          Analysis.Lint.exit_code diags)
-    in
-    exit code
+  let run query_file schema_file r =
+    (* the explanation report: the PC803 chains and the input errors *)
+    report ~cmd:"query.explain" r
+      ~keep:(fun d -> d.Analysis.Diagnostic.code = "PC803" || input_error d)
+      (fun pool ->
+        Ok
+          (analyze r ?schema_file ~explain:true ~file:query_file
+             Analysis.Querycheck.analyzer pool))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1580,12 +1469,7 @@ let query_explain_cmd =
           sorts.  Equivalent to $(b,query lint --explain) filtered to \
           PC803 and the input-error codes.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j ->
-             `Ok (run a b c d e f g h i j))
-        $ query_file_arg $ query_schema_arg $ query_config_arg
-        $ query_format_arg $ query_output_arg $ jobs_arg $ trace_arg
-        $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ query_file_arg $ query_schema_arg $ report_term ~gated:false)
 
 let query_cmd =
   Cmd.group

@@ -26,7 +26,9 @@ let fs_store = Fault.site "cache.store"
 let degraded = ref false
 let reset () = degraded := false
 
-let version = 2
+(* 3: stale-pragma (PC510) findings skip passes that did not run, and
+   query lint spans PC002 at the offending token *)
+let version = 3
 
 (* The fingerprint must cover the FULL rule table — code, default
    severity and description of every row — so that adding a rule family

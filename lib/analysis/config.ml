@@ -28,20 +28,14 @@ let default =
     cache_dir = None;
   }
 
-let pass_names =
-  [
-    "classify";
-    "typeflow";
-    "vacuity";
-    "redundancy";
-    "inconsistency";
-    "hygiene";
-    "interact";
-    "querycheck";
-  ]
+let pass_names = List.map (fun p -> p.Registry.name) Registry.all
 
 let pass_enabled t name =
-  match List.assoc_opt name t.passes with Some b -> b | None -> true
+  match List.assoc_opt name t.passes with
+  | Some b -> b
+  | None ->
+      List.exists (fun p -> p.Registry.name = name && p.Registry.default_on)
+        Registry.all
 
 (* input errors must never be demoted or hidden: a file that does not
    parse invalidates every other finding *)
@@ -193,8 +187,3 @@ let parse src =
                         key)))
   in
   go 1 "" default lines
-
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | src -> parse src
-  | exception Sys_error m -> Error m

@@ -34,13 +34,14 @@ val default : t
 (** Everything enabled, no overrides, no cache. *)
 
 val pass_names : string list
-(** The pass identifiers accepted in [[passes]]: [classify], [typeflow],
-    [vacuity], [redundancy], [inconsistency], [hygiene], [interact],
-    [querycheck].  All default to enabled except [interact], which runs
-    only when opted in (here or with [--interact]); [querycheck] is the
-    PC8xx pass of [pathctl query lint]. *)
+(** The pass identifiers accepted in [[passes]], in {!Registry.all}
+    order: [classify], [typeflow], [vacuity], [inconsistency],
+    [redundancy], [hygiene], [interact], [querycheck]. *)
 
 val pass_enabled : t -> string -> bool
+(** The configured switch of a pass, else its {!Registry} default: on
+    for every pass but [interact], which runs only when opted in (here
+    or with [--interact]). *)
 
 val severity_override : t -> string -> Diagnostic.severity option option
 (** [None]: no override; [Some None]: the code is ignored; [Some (Some
@@ -50,6 +51,3 @@ val severity_override : t -> string -> Diagnostic.severity option option
 
 val parse : string -> (t, string) result
 (** The error message carries the 1-based line number. *)
-
-val load : string -> (t, string) result
-(** Read and {!parse}; I/O failures become [Error]. *)

@@ -26,16 +26,10 @@ val apply : src:string -> fix list -> string
 (** Apply a plan to the file's contents (line numbers refer to [src]). *)
 
 val fix_file :
-  ?budget:Core.Engine.Budget.t ->
-  ?schema_file:string ->
-  ?phi:string ->
-  ?config_file:string ->
-  ?explain:bool ->
+  lint:(unit -> Driver.outcome) ->
   sigma_file:string ->
-  unit ->
-  (int * Diagnostic.t list, string) result
-(** Lint, plan, rewrite [sigma_file] in place, and re-lint: [Ok (n,
-    diags)] is the number of fixes applied and the post-fix
-    diagnostics.  XML constraint files are rejected (the fixes are
-    line-oriented).  The cache is not consulted (the file is about to
-    change). *)
+  (int * Driver.outcome, string) result
+(** Lint (with [lint], which must analyze [sigma_file]), plan, rewrite
+    [sigma_file] in place, and re-lint: [Ok (n, outcome)] is the number
+    of fixes applied and the post-fix outcome.  XML constraint files
+    are rejected (the fixes are line-oriented). *)

@@ -2,164 +2,146 @@ module Span = Pathlang.Span
 module Parser = Pathlang.Parser
 
 type input = {
-  sigma_file : string;
-  sigma : Parser.located list;
-  pragmas : Parser.pragma list;
-  schema : Schema.Mschema.t option;
-  schema_file : string option;
-  schema_spans : Schema.Schema_parser.spans option;
+  env : Driver.env;
+  doc : Parser.document;
   phi : Pathlang.Constr.t option;
-  config : Config.t;
-  explain : bool;
-  interact : bool;
-      (* the interaction analyzer is opt-in: the CLI flag (or the
-         [interact] subcommand) forces it on even when the config says
-         otherwise *)
 }
 
-let passes_run = Obs.Counter.make ~unit_:"passes" "lint.passes.run"
+let spanned i =
+  List.map (fun l -> (l.Parser.constr, l.Parser.span)) i.doc.Parser.constraints
 
-(* per-family diagnostic tallies as one labeled metric:
-   [lint.diags{family="PC2xx"}] etc. *)
-let f_diags = Obs.Counter.family ~unit_:"diagnostics" ~label:"family" "lint.diags"
+let with_schema i f =
+  match i.env.schema with Some schema -> f schema | None -> []
 
-let apply_severity config diags =
-  List.filter_map
-    (fun d ->
-      match Config.severity_override config d.Diagnostic.code with
-      | None -> Some d
-      | Some None -> None
-      | Some (Some severity) -> Some { d with Diagnostic.severity })
-    diags
+(* Two stages: the span-pure passes, then the two budgeted heavy passes
+   side by side (redundancy reads inconsistency's PC400 verdict, so it
+   cannot join the first). *)
+let stages ?budget () : input Driver.pass list list =
+  let open Registry in
+  [
+    [
+      attach classify (fun ({ env; phi; _ } as i) ~prior:_ ->
+          Classify.run ~sigma_file:env.file ?schema:env.schema
+            ?schema_file:env.schema_file ?schema_spans:env.schema_spans ?phi
+            (spanned i));
+      attach typeflow (fun i ~prior:_ ->
+          with_schema i (fun schema ->
+              Typeflow.pass ~sigma_file:i.env.file ~schema
+                ~explain:i.env.explain i.doc.Parser.constraints));
+      attach vacuity (fun i ~prior:_ ->
+          with_schema i (fun schema ->
+              Passes.vacuity ~sigma_file:i.env.file ~schema (spanned i)));
+      attach inconsistency (fun i ~prior:_ ->
+          with_schema i (fun schema ->
+              Passes.inconsistency ~sigma_file:i.env.file ~schema (spanned i)));
+      attach hygiene (fun ({ env; _ } as i) ~prior:_ ->
+          Passes.hygiene ~sigma_file:env.file ?schema:env.schema
+            ?schema_file:env.schema_file ?schema_spans:env.schema_spans
+            (spanned i));
+    ];
+    [
+      attach redundancy (fun i ~prior ->
+          (* an inconsistent Sigma implies everything: redundancy is noise
+             there *)
+          if
+            List.exists
+              (fun d -> d.Diagnostic.code = "PC400")
+              (prior "inconsistency")
+          then []
+          else
+            Passes.redundancy ~sigma_file:i.env.file ?schema:i.env.schema
+              ?budget (spanned i));
+      attach interact (fun i ~prior:_ ->
+          Interact.pass ~sigma_file:i.env.file ?schema:i.env.schema ?budget
+            ~explain:i.env.explain (spanned i));
+    ];
+  ]
+
+let budget_fingerprint (budget : Core.Engine.Budget.t option) =
+  match budget with
+  | None -> "default"
+  | Some b ->
+      Printf.sprintf "steps=%s;nodes=%s;timeout=%s"
+        (match b.Core.Engine.Budget.max_steps with
+        | None -> "-"
+        | Some n -> string_of_int n)
+        (match b.Core.Engine.Budget.max_nodes with
+        | None -> "-"
+        | Some n -> string_of_int n)
+        (match b.Core.Engine.Budget.timeout with
+        | None -> "-"
+        | Some t -> Printf.sprintf "%g" t)
+
+(* constraint files: line-oriented DSL, or the XML syntax when the
+   content starts with '<' (XML constraints carry element-level spans
+   but no per-token spans, and no suppression pragmas) *)
+let parse ~file src =
+  let t = String.trim src in
+  if String.length t > 0 && t.[0] = '<' then
+    match Xmlrep.Constraints_xml.parse_spanned src with
+    | Ok cs ->
+        Ok
+          {
+            Parser.constraints =
+              List.map
+                (fun (c, span) ->
+                  { Parser.constr = c; span; tokens = Parser.no_token_spans })
+                cs;
+            pragmas = [];
+          }
+    | Error m ->
+        Error
+          [
+            Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error ~file
+              ~span:(Span.point ~line:1 ~col:1) m;
+          ]
+  else
+    match Parser.document_of_string src with
+    | Ok doc -> Ok doc
+    | Error e ->
+        Error
+          (Driver.parse_error ~code:"PC001" ~file ~line:e.Parser.line
+             ~col:e.Parser.col ~token:e.Parser.token e.Parser.reason)
+
+let analyzer ?budget ?phi ?(interact = false) () =
+  {
+    Driver.key =
+      (fun ~file ~src ~schema_file ~schema_src ~config:_ ~config_src ~explain ->
+        [
+          file;
+          src;
+          schema_file;
+          schema_src;
+          Option.value phi ~default:"";
+          config_src;
+          (if explain then "explain" else "");
+          (if interact then "interact" else "");
+          budget_fingerprint budget;
+        ]);
+    parse;
+    context =
+      (fun env doc ->
+        match Option.map Parser.constraint_of_string phi with
+        | None -> Ok { env; doc; phi = None }
+        | Some (Ok c) -> Ok { env; doc; phi = Some c }
+        | Some (Error m) ->
+            Error
+              [
+                Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
+                  ~file:"<phi>" ("the goal constraint does not parse: " ^ m);
+              ]);
+    pragmas = (fun i -> i.doc.Parser.pragmas);
+    stages = stages ?budget ();
+    (* the interaction analyzer is opt-in: the flag wins over a
+       config-side [false] (an explicit request beats a default) *)
+    invoked =
+      (fun env name ->
+        Config.pass_enabled env.Driver.config name
+        || (interact && name = "interact"));
+  }
 
 let run ?budget ?pool input =
-  let {
-    sigma_file;
-    sigma;
-    pragmas;
-    schema;
-    schema_file;
-    schema_spans;
-    phi;
-    config;
-    explain;
-    interact;
-  } =
-    input
-  in
-  let spanned =
-    List.map (fun l -> (l.Parser.constr, l.Parser.span)) sigma
-  in
-  let pass name f =
-    if Config.pass_enabled config name then
-      Obs.Span.with_ ("lint." ^ name) (fun () ->
-          Obs.Counter.incr passes_run;
-          f ())
-    else []
-  in
-  let classify_p () =
-    pass "classify" (fun () ->
-        Classify.run ~sigma_file ?schema ?schema_file ?schema_spans ?phi
-          spanned)
-  in
-  let typeflow_p () =
-    pass "typeflow" (fun () ->
-        match schema with
-        | Some schema -> Typeflow.pass ~sigma_file ~schema ~explain sigma
-        | None -> [])
-  in
-  let vacuity_p () =
-    pass "vacuity" (fun () ->
-        match schema with
-        | Some schema -> Passes.vacuity ~sigma_file ~schema spanned
-        | None -> [])
-  in
-  let inconsistency_p () =
-    pass "inconsistency" (fun () ->
-        match schema with
-        | Some schema -> Passes.inconsistency ~sigma_file ~schema spanned
-        | None -> [])
-  in
-  let redundancy_p ~inconsistency () =
-    (* an inconsistent Sigma implies everything: redundancy is noise there *)
-    pass "redundancy" (fun () ->
-        if List.exists (fun d -> d.Diagnostic.code = "PC400") inconsistency
-        then []
-        else Passes.redundancy ~sigma_file ?schema ?budget spanned)
-  in
-  let hygiene_p () =
-    pass "hygiene" (fun () ->
-        Passes.hygiene ~sigma_file ?schema ?schema_file ?schema_spans spanned)
-  in
-  let interact_p () =
-    (* unlike the default-on passes, interact runs only when opted in:
-       by the [--interact] flag / [interact] subcommand, or by an
-       explicit [interact = true] in the config.  The flag wins over a
-       config-side [false] (an explicit request beats a default). *)
-    let enabled =
-      interact
-      || List.assoc_opt "interact" config.Config.passes = Some true
-    in
-    if enabled then
-      Obs.Span.with_ "lint.interact" (fun () ->
-          Obs.Counter.incr passes_run;
-          Interact.pass ~sigma_file ?schema ?budget ~explain spanned)
-    else []
-  in
-  (* Each pass is pure given the parsed spans, so they fan out onto a
-     pool; results are kept by pass index and concatenated in the fixed
-     pass order, making -j N output byte-identical to -j 1.  Two
-     stages: the span-pure passes first, then the two budgeted heavy
-     passes side by side (redundancy reads inconsistency's PC400
-     verdict, so it cannot join stage one). *)
-  let classify, typeflow, vacuity, inconsistency, redundancy, hygiene, interact
-      =
-    match pool with
-    | Some p when Par.jobs p > 1 ->
-        let s1 =
-          Par.run p ~tasks:5 (fun i ->
-              match i with
-              | 0 -> classify_p ()
-              | 1 -> typeflow_p ()
-              | 2 -> vacuity_p ()
-              | 3 -> inconsistency_p ()
-              | _ -> hygiene_p ())
-        in
-        let inconsistency = s1.(3) in
-        let s2 =
-          Par.run p ~tasks:2 (fun i ->
-              if i = 0 then redundancy_p ~inconsistency () else interact_p ())
-        in
-        (s1.(0), s1.(1), s1.(2), inconsistency, s2.(0), s1.(4), s2.(1))
-    | _ ->
-        let classify = classify_p () in
-        let typeflow = typeflow_p () in
-        let vacuity = vacuity_p () in
-        let inconsistency = inconsistency_p () in
-        let redundancy = redundancy_p ~inconsistency () in
-        let hygiene = hygiene_p () in
-        let interact = interact_p () in
-        (classify, typeflow, vacuity, inconsistency, redundancy, hygiene,
-         interact)
-  in
-  let all =
-    classify @ typeflow @ vacuity @ inconsistency @ redundancy @ hygiene
-    @ interact
-  in
-  let all = Suppress.apply ~sigma_file pragmas all in
-  let all = apply_severity config all in
-  let all = List.stable_sort Diagnostic.compare all in
-  (* per-family tallies (PC2xx vacuity, PC3xx redundancy, ...) so that
-     --stats output attributes diagnostics as well as time to passes *)
-  List.iter
-    (fun d ->
-      let code = d.Diagnostic.code in
-      let family =
-        if String.length code >= 3 then String.sub code 0 3 ^ "xx" else code
-      in
-      Obs.Counter.incr (Obs.Counter.tag f_diags family))
-    all;
-  all
+  Driver.check (analyzer ?budget ()) { input.env with pool } input
 
 (* --- exit-code policy ------------------------------------------------------ *)
 
@@ -179,200 +161,9 @@ let exit_code ?max_warnings diags =
 
 (* --- file-level entry ------------------------------------------------------ *)
 
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
-
-let whole_file_span = Span.v ~line:1 ~start_col:1 ~end_col:1
-
-(* constraint files: line-oriented DSL, or the XML syntax when the
-   content starts with '<' (XML constraints carry element-level spans
-   but no per-token spans, and no suppression pragmas) *)
-let load_sigma_src src =
-  let t = String.trim src in
-  if String.length t > 0 && t.[0] = '<' then
-    match Xmlrep.Constraints_xml.parse_spanned src with
-    | Ok cs ->
-        Ok
-          {
-            Parser.constraints =
-              List.map
-                (fun (c, span) ->
-                  { Parser.constr = c; span; tokens = Parser.no_token_spans })
-                cs;
-            pragmas = [];
-          }
-    | Error m -> Error (Span.point ~line:1 ~col:1, "", m)
-  else
-    match Parser.document_of_string src with
-    | Ok doc -> Ok doc
-    | Error e ->
-        Error
-          ( Span.v ~line:e.Parser.line ~start_col:e.Parser.col
-              ~end_col:(e.Parser.col + String.length e.Parser.token),
-            e.Parser.token,
-            e.Parser.reason )
-
-let budget_fingerprint (budget : Core.Engine.Budget.t option) =
-  match budget with
-  | None -> "default"
-  | Some b ->
-      Printf.sprintf "steps=%s;nodes=%s;timeout=%s"
-        (match b.Core.Engine.Budget.max_steps with
-        | None -> "-"
-        | Some n -> string_of_int n)
-        (match b.Core.Engine.Budget.max_nodes with
-        | None -> "-"
-        | Some n -> string_of_int n)
-        (match b.Core.Engine.Budget.timeout with
-        | None -> "-"
-        | Some t -> Printf.sprintf "%g" t)
-
 let lint_paths ?budget ?pool ?schema_file ?phi ?config_file ?cache_dir
-    ?(explain = false) ?(interact = false) ~sigma_file () =
-  (* configuration first: everything downstream depends on it *)
-  let config_src, config_result =
-    match config_file with
-    | None -> ("", Ok Config.default)
-    | Some path -> (
-        match read_file path with
-        | Error m -> ("", Error (path, m))
-        | Ok src -> (
-            ( src,
-              match Config.parse src with
-              | Ok c -> Ok c
-              | Error m -> Error (path, m) )))
-  in
-  match config_result with
-  | Error (path, m) ->
-      [
-        Diagnostic.make ~code:"PC003" ~severity:Diagnostic.Error ~file:path m;
-      ]
-  | Ok config -> (
-      let explain = explain || config.Config.explain in
-      let cache_dir =
-        match cache_dir with Some _ -> cache_dir | None -> config.Config.cache_dir
-      in
-      let sigma_src = read_file sigma_file in
-      let schema_src =
-        match schema_file with
-        | None -> Ok ""
-        | Some path -> read_file path
-      in
-      let cache_key =
-        match (cache_dir, sigma_src, schema_src) with
-        | Some _, Ok s, Ok sc ->
-            Some
-              (Cache.key
-                 ~parts:
-                   [
-                     sigma_file;
-                     s;
-                     Option.value schema_file ~default:"";
-                     sc;
-                     Option.value phi ~default:"";
-                     config_src;
-                     (if explain then "explain" else "");
-                     (if interact then "interact" else "");
-                     budget_fingerprint budget;
-                   ])
-        | _ -> None
-      in
-      let cached =
-        match (cache_dir, cache_key) with
-        | Some dir, Some key -> Cache.lookup ~dir ~key
-        | _ -> None
-      in
-      match cached with
-      | Some diags -> diags
-      | None ->
-          let diags =
-            match sigma_src with
-            | Error m ->
-                [
-                  Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                    ~file:sigma_file ~span:whole_file_span m;
-                ]
-            | Ok src -> (
-                match load_sigma_src src with
-                | Error (span, token, reason) ->
-                    [
-                      Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                        ~file:sigma_file ~span
-                        (if token = "" then reason
-                         else Printf.sprintf "at %S: %s" token reason);
-                    ]
-                | Ok doc -> (
-                    let schema_result =
-                      match schema_file with
-                      | None -> Ok None
-                      | Some path -> (
-                          match Schema.Schema_parser.load_spanned path with
-                          | Ok (schema, spans) -> Ok (Some (schema, spans, path))
-                          | Error e -> Error (path, e))
-                    in
-                    match schema_result with
-                    | Error (path, e) ->
-                        [
-                          Diagnostic.make ~code:"PC002"
-                            ~severity:Diagnostic.Error ~file:path
-                            ~span:
-                              (Span.v ~line:e.Schema.Schema_parser.line
-                                 ~start_col:e.Schema.Schema_parser.col
-                                 ~end_col:
-                                   (e.Schema.Schema_parser.col
-                                   + String.length e.Schema.Schema_parser.token))
-                            (if e.Schema.Schema_parser.token = "" then
-                               e.Schema.Schema_parser.reason
-                             else
-                               Printf.sprintf "at %S: %s"
-                                 e.Schema.Schema_parser.token
-                                 e.Schema.Schema_parser.reason);
-                        ]
-                    | Ok schema_opt -> (
-                        let phi_result =
-                          match phi with
-                          | None -> Ok None
-                          | Some s -> (
-                              match Parser.constraint_of_string s with
-                              | Ok c -> Ok (Some c)
-                              | Error m -> Error m)
-                        in
-                        match phi_result with
-                        | Error m ->
-                            [
-                              Diagnostic.make ~code:"PC001"
-                                ~severity:Diagnostic.Error ~file:"<phi>"
-                                ("the goal constraint does not parse: " ^ m);
-                            ]
-                        | Ok phi ->
-                            let schema, schema_spans, schema_file =
-                              match schema_opt with
-                              | None -> (None, None, None)
-                              | Some (s, spans, path) ->
-                                  (Some s, Some spans, Some path)
-                            in
-                            (* [pool] is deliberately absent from the
-                               cache key: -j N results are
-                               byte-identical to -j 1 by contract, so
-                               a cache entry is valid at any job
-                               count *)
-                            run ?budget ?pool
-                              {
-                                sigma_file;
-                                sigma = doc.Parser.constraints;
-                                pragmas = doc.Parser.pragmas;
-                                schema;
-                                schema_file;
-                                schema_spans;
-                                phi;
-                                config;
-                                explain;
-                                interact;
-                              })))
-          in
-          (match (cache_dir, cache_key) with
-          | Some dir, Some key -> Cache.store ~dir ~key diags
-          | _ -> ());
-          diags)
+    ?explain ?interact ~sigma_file () =
+  (Driver.run ?pool ?schema_file ?config_file ?cache_dir ?explain
+     ~file:sigma_file
+     (analyzer ?budget ?phi ?interact ()))
+    .Driver.diags

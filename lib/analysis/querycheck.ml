@@ -20,22 +20,18 @@
    - PC803 (--explain): the inferred sort set after every letter
      occurrence, the regex-position sibling of the PC602 chains.
 
-   The driver mirrors Lint.lint_paths: the same configuration file
-   (severity overrides, the [querycheck] pass switch), the same
-   suppression pragmas (query files carry Pathlang.Parser pragmas, so
-   Suppress — family patterns, PC510 staleness — applies unchanged),
-   and the same content-hash cache, keyed additionally on the query
-   file's contents and on the pass switch itself. *)
+   [pathctl query lint] is the Driver instance over a query file: the
+   same configuration file (severity overrides, the [querycheck] pass
+   switch), the same suppression pragmas (query files carry
+   Pathlang.Parser pragmas) and the same content-hash cache as
+   constraint lint.  This module supplies the query parser, the one
+   registered pass (invoked only with a schema) and the cache-key
+   parts, which add the pass switch itself. *)
 
-module Span = Pathlang.Span
 module Label = Pathlang.Label
 module Qparser = Rpq.Parser
 module Typecheck = Rpq.Typecheck
 module Mschema = Schema.Mschema
-
-let passes_run = Obs.Counter.make ~unit_:"passes" "lint.passes.run"
-
-let f_diags = Obs.Counter.family ~unit_:"diagnostics" ~label:"family" "lint.diags"
 
 let qstr ast = Rpq.Regex.to_string (Qparser.regex_of ast)
 
@@ -143,179 +139,86 @@ let check_item ~query_file ~schema ~explain (it : Qparser.located) =
 
 (* --- the pass -------------------------------------------------------------- *)
 
-let pass ~query_file ~schema ?(explain = false) ?pool
+let check_items ~query_file ~schema ~explain ?pool
     (items : Qparser.located list) =
-  Obs.Span.with_ "lint.querycheck" (fun () ->
-      Obs.Counter.incr passes_run;
-      let arr = Array.of_list items in
-      let results =
-        match pool with
-        | Some p when Par.jobs p > 1 ->
-            (* one task per query line; results keep file order, so -j N
-               output is byte-identical to -j 1 *)
-            Par.run p ~tasks:(Array.length arr) (fun i ->
-                check_item ~query_file ~schema ~explain arr.(i))
-        | _ -> Array.map (check_item ~query_file ~schema ~explain) arr
-      in
-      List.concat (Array.to_list results))
+  let arr = Array.of_list items in
+  let results =
+    match pool with
+    | Some p when Par.jobs p > 1 ->
+        (* one task per query line; results keep file order, so -j N
+           output is byte-identical to -j 1 *)
+        Par.run p ~tasks:(Array.length arr) (fun i ->
+            check_item ~query_file ~schema ~explain arr.(i))
+    | _ -> Array.map (check_item ~query_file ~schema ~explain) arr
+  in
+  List.concat (Array.to_list results)
 
-(* --- the [pathctl query lint] driver --------------------------------------- *)
+let pass ~query_file ~schema ?(explain = false) ?pool items =
+  Driver.invoke "querycheck" (fun () ->
+      check_items ~query_file ~schema ~explain ?pool items)
 
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
+(* --- the [pathctl query lint] analyzer ------------------------------------- *)
 
-let whole_file_span = Span.v ~line:1 ~start_col:1 ~end_col:1
+(* The querycheck pass switch and the query file's contents are key
+   parts of their own (alongside the configuration text, which also
+   spells the switch): flipping either must miss, which the mutation
+   tests in test_querycheck flip field-by-field. *)
+let key_parts ~querycheck ~explain ~query_file ~query_src ~schema_file
+    ~schema_src ~config_src =
+  [
+    "querycheck";
+    (if querycheck then "pass=on" else "pass=off");
+    query_file;
+    query_src;
+    schema_file;
+    schema_src;
+    config_src;
+    (if explain then "explain" else "");
+  ]
 
-(* The cache key of a query-lint run.  The querycheck pass switch and
-   the query file's contents are key parts of their own (alongside the
-   configuration text, which also spells the switch): flipping either
-   must miss, which the mutation tests in test_querycheck flip
-   field-by-field. *)
 let cache_key ~querycheck ~explain ~query_file ~query_src ~schema_file
     ~schema_src ~config_src =
   Cache.key
     ~parts:
-      [
-        "querycheck";
-        (if querycheck then "pass=on" else "pass=off");
-        query_file;
-        query_src;
-        schema_file;
-        schema_src;
-        config_src;
-        (if explain then "explain" else "");
-      ]
+      (key_parts ~querycheck ~explain ~query_file ~query_src ~schema_file
+         ~schema_src ~config_src)
 
-let lint_queries ?pool ?schema_file ?config_file ?cache_dir
-    ?(explain = false) ~query_file () =
-  let config_src, config_result =
-    match config_file with
-    | None -> ("", Ok Config.default)
-    | Some path -> (
-        match read_file path with
-        | Error m -> ("", Error (path, m))
-        | Ok src -> (
-            ( src,
-              match Config.parse src with
-              | Ok c -> Ok c
-              | Error m -> Error (path, m) )))
-  in
-  match config_result with
-  | Error (path, m) ->
-      [ Diagnostic.make ~code:"PC003" ~severity:Diagnostic.Error ~file:path m ]
-  | Ok config -> (
-      let explain = explain || config.Config.explain in
-      let cache_dir =
-        match cache_dir with
-        | Some _ -> cache_dir
-        | None -> config.Config.cache_dir
-      in
-      let query_src = read_file query_file in
-      let schema_src =
-        match schema_file with None -> Ok "" | Some path -> read_file path
-      in
-      let key =
-        match (cache_dir, query_src, schema_src) with
-        | Some _, Ok q, Ok s ->
-            Some
-              (cache_key
-                 ~querycheck:(Config.pass_enabled config "querycheck")
-                 ~explain ~query_file ~query_src:q
-                 ~schema_file:(Option.value schema_file ~default:"")
-                 ~schema_src:s ~config_src)
-        | _ -> None
-      in
-      let cached =
-        match (cache_dir, key) with
-        | Some dir, Some key -> Cache.lookup ~dir ~key
-        | _ -> None
-      in
-      match cached with
-      | Some diags -> diags
-      | None ->
-          let diags =
-            match query_src with
-            | Error m ->
-                [
-                  Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                    ~file:query_file ~span:whole_file_span m;
-                ]
-            | Ok src -> (
-                match Qparser.document_of_string src with
-                | Error e ->
-                    [
-                      Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                        ~file:query_file
-                        ~span:
-                          (Span.v ~line:e.Qparser.line ~start_col:e.Qparser.col
-                             ~end_col:
-                               (e.Qparser.col + String.length e.Qparser.token))
-                        (if e.Qparser.token = "" then e.Qparser.reason
-                         else
-                           Printf.sprintf "at %S: %s" e.Qparser.token
-                             e.Qparser.reason);
-                    ]
-                | Ok doc -> (
-                    let schema_result =
-                      match schema_file with
-                      | None -> Ok None
-                      | Some path -> (
-                          match Schema.Schema_parser.load path with
-                          | Ok schema -> Ok (Some schema)
-                          | Error m -> Error (path, m))
-                    in
-                    match schema_result with
-                    | Error (path, m) ->
-                        [
-                          Diagnostic.make ~code:"PC002"
-                            ~severity:Diagnostic.Error ~file:path
-                            ~span:whole_file_span m;
-                        ]
-                    | Ok schema_opt ->
-                        let findings =
-                          match schema_opt with
-                          | Some schema
-                            when Config.pass_enabled config "querycheck" ->
-                              pass ~query_file ~schema ~explain ?pool
-                                doc.Qparser.items
-                          | _ -> []
-                        in
-                        let all =
-                          Suppress.apply ~sigma_file:query_file
-                            doc.Qparser.pragmas findings
-                        in
-                        let all =
-                          List.filter_map
-                            (fun d ->
-                              match
-                                Config.severity_override config
-                                  d.Diagnostic.code
-                              with
-                              | None -> Some d
-                              | Some None -> None
-                              | Some (Some severity) ->
-                                  Some { d with Diagnostic.severity })
-                            all
-                        in
-                        let all =
-                          List.stable_sort Diagnostic.compare all
-                        in
-                        List.iter
-                          (fun d ->
-                            let code = d.Diagnostic.code in
-                            let family =
-                              if String.length code >= 3 then
-                                String.sub code 0 3 ^ "xx"
-                              else code
-                            in
-                            Obs.Counter.incr
-                              (Obs.Counter.tag f_diags family))
-                          all;
-                        all))
-          in
-          (match (cache_dir, key) with
-          | Some dir, Some key -> Cache.store ~dir ~key diags
-          | _ -> ());
-          diags)
+let analyzer =
+  {
+    Driver.key =
+      (fun ~file ~src ~schema_file ~schema_src ~config ~config_src ~explain ->
+        key_parts
+          ~querycheck:(Config.pass_enabled config "querycheck")
+          ~explain ~query_file:file ~query_src:src ~schema_file ~schema_src
+          ~config_src);
+    parse =
+      (fun ~file src ->
+        Qparser.document_of_string src
+        |> Result.map_error (fun (e : Qparser.error) ->
+               Driver.parse_error ~code:"PC001" ~file ~line:e.line ~col:e.col
+                 ~token:e.token e.reason));
+    context = (fun env doc -> Ok (env, doc));
+    pragmas = (fun (_, doc) -> doc.Qparser.pragmas);
+    stages =
+      [
+        [
+          Registry.attach Registry.querycheck
+            (fun ((env : Driver.env), doc) ~prior:_ ->
+              match env.schema with
+              | Some schema ->
+                  check_items ~query_file:env.file ~schema ~explain:env.explain
+                    ?pool:env.pool doc.Qparser.items
+              | None -> []);
+        ];
+      ];
+    (* without a schema queries are only parsed *)
+    invoked =
+      (fun env name ->
+        env.Driver.schema <> None && Config.pass_enabled env.config name);
+  }
+
+let lint_queries ?pool ?schema_file ?config_file ?cache_dir ?explain
+    ~query_file () =
+  (Driver.run ?pool ?schema_file ?config_file ?cache_dir ?explain
+     ~file:query_file analyzer)
+    .Driver.diags

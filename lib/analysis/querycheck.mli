@@ -22,11 +22,12 @@
        letter occurrence, the query-side sibling of the [PC602]
        type-flow chains.}}
 
-    Driver semantics mirror {!Lint.lint_paths}: the same TOML
-    configuration (the pass answers to [querycheck] in [[passes]];
-    [PC8xx] family keys work in [[severity]]), the same suppression
-    pragmas ([# pathctl-disable ...] lines in the query file, including
-    [PC510] staleness), and the same content-hash cache. *)
+    [pathctl query lint] is the {!Driver} instance over a query file
+    ({!analyzer}): the same TOML configuration as constraint lint (the
+    pass answers to [querycheck] in [[passes]]; [PC8xx] family keys
+    work in [[severity]]), the same suppression pragmas ([#
+    pathctl-disable ...] lines in the query file, including [PC510]
+    staleness), and the same content-hash cache. *)
 
 val pass :
   query_file:string ->
@@ -58,6 +59,13 @@ val cache_key :
     a key change.  The evaluation budget is deliberately not a part:
     querycheck diagnostics do not depend on it. *)
 
+val analyzer : (Rpq.Parser.document, Driver.env * Rpq.Parser.document) Driver.analyzer
+(** The query-lint analyzer for {!Driver.run}: the query parser
+    ([PC001] with the parse error's token span), the [querycheck] pass
+    — invoked only when a schema is present and the pass is enabled,
+    so without a schema queries are only parsed — and the key parts of
+    {!cache_key}. *)
+
 val lint_queries :
   ?pool:Par.t ->
   ?schema_file:string ->
@@ -67,11 +75,4 @@ val lint_queries :
   query_file:string ->
   unit ->
   Diagnostic.t list
-(** The [pathctl query lint] driver: load the configuration ([PC003] on
-    failure), read and parse the query file ([PC001], with the parse
-    error's token span), load the schema ([PC002]), run {!pass} when a
-    schema is present and the [querycheck] pass is enabled, then apply
-    suppressions, severity overrides and the presentation sort.
-    Without a schema the pass is skipped (queries still must parse).
-    [cache_dir] (CLI flag or [cache] in [[lint]]) short-circuits the
-    whole run on a content hit. *)
+(** {!Driver.run} with {!analyzer}, keeping the diagnostics. *)

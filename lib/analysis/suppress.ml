@@ -14,7 +14,17 @@ let describe_codes = function
   | [] -> "(no codes)"
   | codes -> String.concat "/" codes
 
-let apply ~sigma_file (pragmas : Parser.pragma list) diags =
+(* A pattern is idle when it names some rule and every rule it names is
+   idle: the pass that owns it did not run, so silence proves nothing. *)
+let idle_pattern idle pat =
+  let named =
+    List.filter_map
+      (fun (c, _, _) -> if code_matches pat c then Some c else None)
+      Diagnostic.rules
+  in
+  named <> [] && List.for_all idle named
+
+let apply ~sigma_file ~idle (pragmas : Parser.pragma list) diags =
   let parr = Array.of_list pragmas in
   let used = Array.make (Array.length parr) false in
   let matches (d : Diagnostic.t) (p : Parser.pragma) =
@@ -45,7 +55,11 @@ let apply ~sigma_file (pragmas : Parser.pragma list) diags =
     Array.to_list
       (Array.mapi
          (fun i (p : Parser.pragma) ->
-           if used.(i) then None
+           if
+             used.(i)
+             || (p.Parser.codes <> []
+                && List.for_all (idle_pattern idle) p.Parser.codes)
+           then None
            else
              let message =
                if p.Parser.codes = [] then

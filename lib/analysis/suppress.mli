@@ -13,9 +13,14 @@ val code_matches : string -> string -> bool
 
 val apply :
   sigma_file:string ->
+  idle:(string -> bool) ->
   Pathlang.Parser.pragma list ->
   Diagnostic.t list ->
   Diagnostic.t list
 (** Filter the diagnostics through the pragmas (only findings on
     [sigma_file] are candidates; file-wide pragmas also cover spanless
-    findings), appending one [PC510] per pragma that matched nothing. *)
+    findings), appending one [PC510] per pragma that matched nothing —
+    unless every code it lists is idle: [idle code] holds when the pass
+    that owns [code] did not run, so the pragma's silence proves
+    nothing.  A listed code that names no rule, or a family with some
+    non-idle member, keeps the pragma reportable. *)

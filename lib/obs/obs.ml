@@ -716,29 +716,6 @@ module Trace = struct
            ("otherData", Json.Obj [ ("producer", Json.String "pathcons/obs") ]);
          ])
 
-  let jsonl_of_event e =
-    Json.to_string
-      (Json.Obj
-         ([
-            ("name", Json.String e.name);
-            ( "ph",
-              Json.String
-                (match e.ph with Begin -> "B" | End -> "E" | Instant -> "i") );
-            ("ts_ns", Json.Int (Int64.to_int e.ts_ns));
-            ("tid", Json.Int e.tid);
-          ]
-         @
-         match e.args with
-         | [] -> []
-         | args ->
-             [
-               ( "args",
-                 Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) args) );
-             ]))
-
-  let to_jsonl () =
-    String.concat "\n" (List.map jsonl_of_event (events ())) ^ "\n"
-
   let write_chrome path =
     let oc = open_out path in
     Fun.protect

@@ -228,9 +228,6 @@ module Trace : sig
       synthetically at the current clock so the file is always
       well-formed. *)
 
-  val to_jsonl : unit -> string
-  (** One JSON object per event per line, nanosecond timestamps. *)
-
   val write_chrome : string -> unit
   (** [to_chrome_json] to a file. *)
 

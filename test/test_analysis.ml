@@ -569,6 +569,71 @@ let test_suppression_pragmas () =
   Alcotest.(check bool) "PC500 family suppressed" false (contains out "PC500");
   check_contains out "[PC100]"
 
+(* A pragma whose codes all belong to passes that did not run proves
+   nothing by its silence: it is not reported stale.  Pragmas naming an
+   unknown code, or a code no lint pass owns, still are. *)
+let test_pc510_skips_passes_not_run () =
+  let p = fixture "suppressed.constraints" in
+  let cfg = write_temp ".toml" "[passes]\nhygiene = false\n" in
+  let _, out =
+    run
+      (Printf.sprintf "lint -s %s --config %s" (Filename.quote p)
+         (Filename.quote cfg))
+  in
+  Sys.remove cfg;
+  Alcotest.(check bool) "PC500 pragma not stale without hygiene" false
+    (contains out "no PC500 diagnostic fired");
+  check_contains out ":7:1: warning[PC510] unused suppression: no PC400 \
+                      diagnostic fired in this file";
+  let sigma =
+    write_temp ".constraints"
+      "# pathctl-disable-file PC7xx\nbook.author -> person\n"
+  in
+  let code, out =
+    run
+      (Printf.sprintf "lint -s %s --max-warnings 0" (Filename.quote sigma))
+  in
+  Alcotest.(check int) "PC7xx pragma without --interact: exit 0" 0 code;
+  Alcotest.(check bool) "no PC510 without --interact" false
+    (contains out "PC510");
+  let code, out =
+    run
+      (Printf.sprintf "lint -s %s --interact --max-warnings 0"
+         (Filename.quote sigma))
+  in
+  Sys.remove sigma;
+  Alcotest.(check int) "with --interact the pragma is stale: exit 1" 1 code;
+  check_contains out "warning[PC510] unused suppression: no PC7xx";
+  let sigma =
+    write_temp ".constraints"
+      "# pathctl-disable-file PC999\n# pathctl-disable-file PC800\n\
+       book.author -> person\n"
+  in
+  let _, out = run (Printf.sprintf "lint -s %s" (Filename.quote sigma)) in
+  Sys.remove sigma;
+  check_contains out ":1:1: warning[PC510] unused suppression: no PC999";
+  check_contains out ":2:1: warning[PC510] unused suppression: no PC800"
+
+(* Every rule code outside the input errors and PC510 is owned by
+   exactly one registered pass, and the config accepts exactly the
+   registered pass names. *)
+let test_registry_owns_every_code () =
+  List.iter
+    (fun (code, _, _) ->
+      let owners =
+        List.filter (fun p -> Analysis.Registry.owns p code)
+          Analysis.Registry.all
+      in
+      let expected =
+        if String.starts_with ~prefix:"PC0" code || code = "PC510" then 0
+        else 1
+      in
+      Alcotest.(check int) (code ^ " owners") expected (List.length owners))
+    Diagnostic.rules;
+  Alcotest.(check (list string)) "config pass names"
+    (List.map (fun p -> p.Analysis.Registry.name) Analysis.Registry.all)
+    Analysis.Config.pass_names
+
 (* --- configuration: severity overrides, pass gating, PC003 ----------------- *)
 
 let test_config_file () =
@@ -878,6 +943,10 @@ let () =
             test_subsumed_fixture;
           Alcotest.test_case "suppression pragmas and PC510" `Quick
             test_suppression_pragmas;
+          Alcotest.test_case "PC510 skips passes that did not run" `Quick
+            test_pc510_skips_passes_not_run;
+          Alcotest.test_case "registry owns every code once" `Quick
+            test_registry_owns_every_code;
           Alcotest.test_case "config: severity, passes, PC003" `Quick
             test_config_file;
           Alcotest.test_case "--max-warnings exit policy" `Quick

@@ -769,6 +769,88 @@ let test_parallel_pass_is_deterministic () =
     (Diagnostic.render_text seq)
     (Diagnostic.render_text par)
 
+(* --- the shared driver: PC510, PC002, exit policy, PC003 ------------------- *)
+
+let test_pc510_skips_querycheck_not_run () =
+  let p = fixture "suppressed.query" in
+  let code, out = run (Printf.sprintf "query lint %s" (Filename.quote p)) in
+  Alcotest.(check int) "no schema: exit 0" 0 code;
+  check_absent out "PC510";
+  let off = write_temp ".toml" "[passes]\nquerycheck = false\n" in
+  let code, out =
+    run
+      (Printf.sprintf "query lint %s --schema %s --config %s --max-warnings 0"
+         (Filename.quote p)
+         (Filename.quote (lint_fixture "lint.schema"))
+         (Filename.quote off))
+  in
+  Sys.remove off;
+  Alcotest.(check int) "pass off: exit 0" 0 code;
+  check_absent out "PC510"
+
+let test_pc002_span_matches_lint () =
+  let schema =
+    write_temp ".schema" "kind M\nclass Person = [ name: string\n"
+  in
+  let pc002 out =
+    match
+      List.find_opt
+        (fun l -> contains l "[PC002]")
+        (String.split_on_char '\n' out)
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "no PC002 in %S" out
+  in
+  let _, lint_out =
+    run
+      (Printf.sprintf "lint -s %s --schema %s"
+         (Filename.quote (lint_fixture "redundant.constraints"))
+         (Filename.quote schema))
+  in
+  let code, query_out =
+    run
+      (Printf.sprintf "query lint %s --schema %s"
+         (Filename.quote (fixture "clean.query"))
+         (Filename.quote schema))
+  in
+  Sys.remove schema;
+  Alcotest.(check int) "PC002 is an error" 1 code;
+  Alcotest.(check string) "same PC002 as lint" (pc002 lint_out)
+    (pc002 query_out);
+  check_contains query_out ":3:1: error[PC002] expected ']'"
+
+let test_max_warnings_policy () =
+  (* empty.query yields exactly one warning (PC800) *)
+  let p = fixture "empty.query" in
+  let s = lint_fixture "lint.schema" in
+  let q extra =
+    fst
+      (run
+         (Printf.sprintf "query lint %s --schema %s %s" (Filename.quote p)
+            (Filename.quote s) extra))
+  in
+  Alcotest.(check int) "at the threshold: 0" 0 (q "--max-warnings 1");
+  Alcotest.(check int) "over the threshold: 1" 1 (q "--max-warnings 0");
+  let cfg = write_temp ".toml" "[lint]\nmax-warnings = 0\n" in
+  let with_cfg = "--config " ^ Filename.quote cfg in
+  Alcotest.(check int) "config threshold applies" 1 (q with_cfg);
+  Alcotest.(check int) "explicit flag beats the config" 0
+    (q (with_cfg ^ " --max-warnings 5"));
+  Sys.remove cfg
+
+let test_malformed_config_is_pc003 () =
+  let cfg = write_temp ".toml" "[lint]\nmax-warnings = lots\n" in
+  let code, out =
+    run
+      (Printf.sprintf "query lint %s --schema %s --config %s"
+         (Filename.quote (fixture "clean.query"))
+         (Filename.quote (lint_fixture "lint.schema"))
+         (Filename.quote cfg))
+  in
+  Sys.remove cfg;
+  Alcotest.(check int) "bad config exits 1" 1 code;
+  check_contains out "error[PC003] line 2: bad max-warnings"
+
 let () =
   Alcotest.run "querycheck"
     [
@@ -830,5 +912,16 @@ let () =
             test_pass_switch_disables;
           Alcotest.test_case "parallel determinism" `Quick
             test_parallel_pass_is_deterministic;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "PC510 skips an uninvoked querycheck" `Quick
+            test_pc510_skips_querycheck_not_run;
+          Alcotest.test_case "PC002 span matches lint" `Quick
+            test_pc002_span_matches_lint;
+          Alcotest.test_case "--max-warnings exit policy" `Quick
+            test_max_warnings_policy;
+          Alcotest.test_case "malformed config is PC003" `Quick
+            test_malformed_config_is_pc003;
         ] );
     ]
