@@ -30,8 +30,8 @@ bench-check:
 bench-chase:
 	dune exec bench/main.exe -- chase -o BENCH_chase.json
 
-# the multicore scaling sweep only: the three domain-pool fan-out
-# surfaces (enumeration, typed search, lint) timed at 1/2/4 domains,
+# the multicore scaling sweep only: the two domain-pool fan-out
+# surfaces (enumeration, lint stages) timed at 1/2/4 domains,
 # with the >= 1.8x @ 4 domains contract gated by check_bench on hosts
 # with >= 4 cores (informational elsewhere)
 bench-scaling:

@@ -947,24 +947,6 @@ let scaling_cells () =
       with
       | Some _ -> failwith "scaling enum workload must be countermodel-free"
       | None -> ());
-  let schema = Mschema.bib_m in
-  let ts_sigma = [ Constr.word ~lhs:(p "book") ~rhs:(p "book.ref") ] in
-  (* again a tautology: the typed search must exhaust its bounded space *)
-  let ts_phi = Constr.word ~lhs:(p "person") ~rhs:(p "person") in
-  scaling_cell ~cell_name:"scaling-typed-search"
-    ~claim:
-      "prefix-clamped budget slices keep the parallel verdict identical; \
-       wall-clock tracks domains"
-    "typed countermodel search over U_f(bib_m), 2 per class, full scan"
-    (fun pool ->
-      match
-        Core.Typed_search.find_countermodel ?pool schema ~sigma:ts_sigma
-          ~phi:ts_phi
-      with
-      | Ok None -> ()
-      | Ok (Some _) ->
-          failwith "scaling typed-search workload must be countermodel-free"
-      | Error e -> failwith e);
   let lint_input = lint_workload 48 in
   scaling_cell ~cell_name:"scaling-lint"
     ~claim:

@@ -1181,21 +1181,20 @@ let lint_cmd =
   let run sigma_file schema_file phi fix explain interact (cancel, budget) r =
     report ~cmd:"lint" r (fun pool ->
         Core.Engine.Cancel.with_sigint cancel (fun () ->
-            let lint ?cache ~interact () =
+            let lint ?cache () =
               analyze { r with cache } ?schema_file ~explain ~file:sigma_file
                 (Analysis.Lint.analyzer ~budget ?phi ~interact ())
                 pool
             in
             let result =
               if fix then
-                Analysis.Fix.fix_file ~sigma_file
-                  ~lint:(lint ~interact:false)
+                Analysis.Fix.fix_file ~sigma_file ~lint
                 |> Result.map (fun (n, o) ->
                        if n > 0 then
                          Printf.eprintf "lint: applied %d autofix(es) to %s\n%!"
                            n sigma_file;
                        o)
-              else Ok (lint ?cache:r.cache ~interact ())
+              else Ok (lint ?cache:r.cache ())
             in
             (match result with
             | Ok o

@@ -139,23 +139,12 @@ let check_item ~query_file ~schema ~explain (it : Qparser.located) =
 
 (* --- the pass -------------------------------------------------------------- *)
 
-let check_items ~query_file ~schema ~explain ?pool
-    (items : Qparser.located list) =
-  let arr = Array.of_list items in
-  let results =
-    match pool with
-    | Some p when Par.jobs p > 1 ->
-        (* one task per query line; results keep file order, so -j N
-           output is byte-identical to -j 1 *)
-        Par.run p ~tasks:(Array.length arr) (fun i ->
-            check_item ~query_file ~schema ~explain arr.(i))
-    | _ -> Array.map (check_item ~query_file ~schema ~explain) arr
-  in
-  List.concat (Array.to_list results)
+let check_items ~query_file ~schema ~explain items =
+  List.concat_map (check_item ~query_file ~schema ~explain) items
 
-let pass ~query_file ~schema ?(explain = false) ?pool items =
+let pass ~query_file ~schema ?(explain = false) items =
   Driver.invoke "querycheck" (fun () ->
-      check_items ~query_file ~schema ~explain ?pool items)
+      check_items ~query_file ~schema ~explain items)
 
 (* --- the [pathctl query lint] analyzer ------------------------------------- *)
 
@@ -207,7 +196,7 @@ let analyzer =
               match env.schema with
               | Some schema ->
                   check_items ~query_file:env.file ~schema ~explain:env.explain
-                    ?pool:env.pool doc.Qparser.items
+                    doc.Qparser.items
               | None -> []);
         ];
       ];

@@ -33,14 +33,12 @@ val pass :
   query_file:string ->
   schema:Schema.Mschema.t ->
   ?explain:bool ->
-  ?pool:Par.t ->
   Rpq.Parser.located list ->
   Diagnostic.t list
-(** Check every parsed query item against the schema.  With a [pool] of
-    more than one job, items are checked in parallel, one task per
-    item; results keep file order, so the output is byte-identical to a
-    sequential run.  Runs under the [lint.querycheck] span and bumps
-    [lint.passes.run]. *)
+(** Check every parsed query item against the schema, in file order.
+    Runs under the [lint.querycheck] span and bumps [lint.passes.run].
+    The items are checked sequentially: a 1200-line query file took
+    longer at two jobs than at one (DESIGN.md section 15). *)
 
 val cache_key :
   querycheck:bool ->
@@ -75,4 +73,6 @@ val lint_queries :
   query_file:string ->
   unit ->
   Diagnostic.t list
-(** {!Driver.run} with {!analyzer}, keeping the diagnostics. *)
+(** {!Driver.run} with {!analyzer}, keeping the diagnostics.  [?pool]
+    sizes the driver's stage fan-out; the query analyzer's one stage
+    holds one pass, which runs inline. *)

@@ -416,11 +416,13 @@ let audit_resume (s : Snapshot.t) =
 
 let run ?ctl ?(tracked = []) ?park ?resume g sigma =
   let ctl = match ctl with Some c -> c | None -> Engine.default () in
-  let fingerprint = Snapshot.run_fingerprint ~sigma g in
+  (* an MD5 over printed sigma and the whole graph: forced only when a
+     snapshot is resumed or parked *)
+  let fingerprint = lazy (Snapshot.run_fingerprint ~sigma g) in
   let st, tracked =
     match resume with
     | Some (s : Snapshot.t) ->
-        if s.Snapshot.fingerprint <> fingerprint then
+        if s.Snapshot.fingerprint <> Lazy.force fingerprint then
           invalid_arg "Chase.run: snapshot does not match this graph and sigma";
         audit_resume s;
         (Snapshot.restore_state s sigma, s.Snapshot.tracked)
@@ -432,7 +434,8 @@ let run ?ctl ?(tracked = []) ?park ?resume g sigma =
     | Some f ->
         Engine.note ctl parked_note;
         audit_park ~ctl ~why st;
-        f (Snapshot.of_state ~fingerprint ~ctl ~tracked st)
+        f (Snapshot.of_state ~fingerprint:(Lazy.force fingerprint) ~ctl
+             ~tracked st)
   in
   let finish outcome =
     let h, rename = Mg.compact st.mg in
@@ -464,11 +467,12 @@ let run ?ctl ?(tracked = []) ?park ?resume g sigma =
 
 let implies ?ctl ?park ?resume ~sigma phi =
   let ctl = match ctl with Some c -> c | None -> Engine.default () in
-  let fingerprint = Snapshot.implies_fingerprint ~sigma phi in
+  (* forced only when a snapshot is resumed or parked *)
+  let fingerprint = lazy (Snapshot.implies_fingerprint ~sigma phi) in
   let st, x, y =
     match resume with
     | Some (s : Snapshot.t) -> (
-        if s.Snapshot.fingerprint <> fingerprint then
+        if s.Snapshot.fingerprint <> Lazy.force fingerprint then
           invalid_arg "Chase.implies: snapshot does not match sigma and phi";
         match s.Snapshot.tracked with
         | [ x; y ] ->
@@ -488,7 +492,9 @@ let implies ?ctl ?park ?resume ~sigma phi =
     | Some f ->
         Engine.note ctl parked_note;
         audit_park ~ctl ~why st;
-        f (Snapshot.of_state ~fingerprint ~ctl ~tracked:[ x; y ] st)
+        f
+          (Snapshot.of_state ~fingerprint:(Lazy.force fingerprint) ~ctl
+             ~tracked:[ x; y ] st)
   in
   let rec go () =
     if

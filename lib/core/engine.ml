@@ -193,35 +193,6 @@ let peak_nodes t = t.peak_nodes
 let elapsed_ns t = Int64.sub (now_ns ()) t.started
 let tripped t = Atomic.get t.tripped
 let notes t = List.rev t.rev_notes
-let remaining_steps t = Option.map (fun m -> max 0 (m - t.steps)) t.max_steps
-
-(* Budget splitting for the parallel fan-outs: a child controller
-   carries its own step cap (the caller's deterministic slice of the
-   parent's remaining budget) but shares the parent's absolute deadline,
-   node cap and cancellation token — the live conditions must bind every
-   worker identically.  The child is owned by exactly one task; [absorb]
-   folds its accounting back into the parent after the join. *)
-let fork t ?max_steps () =
-  {
-    max_steps;
-    max_nodes = t.max_nodes;
-    deadline = t.deadline;
-    cancel = t.cancel;
-    started = now_ns ();
-    steps = 0;
-    peak_nodes = 0;
-    rounds = 1;
-    tripped = Atomic.make None;
-    rev_notes = [];
-  }
-
-let absorb ?(trips = true) t child =
-  t.steps <- t.steps + child.steps;
-  if child.peak_nodes > t.peak_nodes then t.peak_nodes <- child.peak_nodes;
-  List.iter (fun n -> note t n) (List.rev child.rev_notes);
-  if trips then
-    match Atomic.get child.tripped with Some r -> trip t r | None -> ()
-
 (* What the budget was spent doing: the synthetic consumed/remaining
    entries plus every instrumented module's live counters.  Only
    collected when the observability layer is on, so disabled-mode

@@ -31,8 +31,8 @@ module Cancel : sig
   val cancel : ?cause:cause -> t -> unit
   (** Defaults to [Request].  The first cause wins; later calls are
       ignored.  The cell is an [Atomic.t], so concurrent cancellation
-      from a signal handler and from worker domains (the parallel
-      searches' first-hit fan-out) resolves race-free. *)
+      from a signal handler and from worker domains resolves
+      race-free. *)
 
   val is_cancelled : t -> bool
 
@@ -97,7 +97,8 @@ val tick : t -> ?nodes:int -> unit -> bool
     and re-check every limit.  [false] means stop: a limit tripped or
     cancellation was requested.  Once a controller has tripped, [tick]
     stays [false].  Owner-domain only: the counting fields are plain
-    mutable state; parallel tasks tick their own {!fork}ed child. *)
+    mutable state, so parallel workers poll {!ok} or {!interrupted}
+    instead. *)
 
 val ok : t -> bool
 (** Re-check only the live conditions — deadline and cancellation —
@@ -122,33 +123,6 @@ val peak_nodes : t -> int
 val elapsed_ns : t -> int64
 val tripped : t -> Verdict.reason option
 val notes : t -> string list
-
-val remaining_steps : t -> int option
-(** Steps left before the step cap trips ([None] when uncapped).  The
-    quantity the parallel searches slice into per-task budgets. *)
-
-val fork : t -> ?max_steps:int -> unit -> t
-(** A child controller for one parallel task: it shares the parent's
-    absolute deadline, node cap and cancellation token, starts with
-    zero steps, and carries its own [max_steps] (the task's
-    deterministic slice; [None] for uncapped).  Does not mutate the
-    parent.  Each child must be ticked by exactly one domain. *)
-
-val absorb : ?trips:bool -> t -> t -> unit
-(** [absorb parent child] folds a finished child controller back into
-    the parent after the join: steps add, peak nodes max, notes union,
-    and (unless [~trips:false]) a child trip escalates the parent's
-    trip under the usual never-downgrade ranking.  [~trips:false] is
-    for the decisive-verdict case: a worker that raced past its slice
-    while another worker found the witness must not shadow the verdict
-    with a trip the sequential run would never have recorded.
-    Owner-domain only. *)
-
-val trip : t -> Verdict.reason -> unit
-(** Record an exhaustion observed outside the controller's own
-    accounting — e.g. the parallel typed search proving that the
-    sequential scan would have run out of steps.  Never downgrades an
-    existing trip.  Domain-safe. *)
 
 val exhaustion : t -> Verdict.exhaustion
 (** Diagnostics snapshot; the reason defaults to [Steps] when the

@@ -46,16 +46,13 @@ type slot =
 
 exception Found of Typecheck.t
 exception Budget
-exception Stopped
-(* [Stopped] is the first-hit fan-out: a parallel task aborts its
-   enumeration because a lower-index task already holds the witness. *)
 
 let c_structures =
   Obs.Counter.make ~unit_:"structures" "typed_search.structures_built"
 
 (* The node inventory and slot list of one count vector — everything
-   [run_vector] needs, buildable without enumerating, so the parallel
-   path can cost vectors up front. *)
+   [run_vector] needs, buildable without enumerating, so
+   [count_structures] can cost vectors up front. *)
 type prepared = { total : int; sort_of : Mtype.t array; slots : slot list }
 
 let prepare schema ~bounds ~classes ~atoms counts =
@@ -119,11 +116,9 @@ let vector_cost p =
 let sat_add a b = if a > max_int - b then max_int else a + b
 
 (* Enumerate one prepared vector.  Raises [Found] on a witness,
-   [Budget] when the shared structure budget or the controller trips,
-   [Stopped] when the [?stop] hook fires between structures. *)
-let run_vector ?stop ~budget ~ctl schema ~sigma ~phi p =
+   [Budget] when the shared structure budget or the controller trips. *)
+let run_vector ~budget ~ctl schema ~sigma ~phi p =
   let build assignment =
-    (match stop with Some s when s () -> raise Stopped | _ -> ());
     Obs.Counter.incr c_structures;
     decr budget;
     if !budget < 0 then raise Budget;
@@ -169,146 +164,49 @@ let run_vector ?stop ~budget ~ctl schema ~sigma ~phi p =
     in
     enumerate [] p.slots
 
-(* Below this many structures the fan-out overhead dwarfs the work. *)
-let parallel_threshold = 64
-
-(* Deterministic parallel search: one task per count vector, each with
-   prefix-clamped slices of the structure and step budgets so the
-   union of the explored regions is exactly the sequential scan's
-   prefix; the least-vector-index witness wins (see DESIGN.md §15 for
-   the determinism argument). *)
-let find_par ~pool ~ctl ~bounds schema ~sigma ~phi ~classes ~atoms =
-  let vectors = count_vectors (List.length classes) bounds.max_per_class in
-  let prepared =
-    Array.of_list (List.map (prepare schema ~bounds ~classes ~atoms) vectors)
+(* The count vectors of the bounded space in scan order, each prepared
+   on demand so a hit early in the scan builds no later inventory. *)
+let vectors ~bounds schema =
+  let classes = Mschema.classes schema in
+  let atoms =
+    List.filter_map
+      (function Mtype.Atomic b -> Some b | _ -> None)
+      (SG.sorts schema)
   in
-  let n = Array.length prepared in
-  let costs = Array.map vector_cost prepared in
-  let total_cost = Array.fold_left sat_add 0 costs in
-  (* task i explores structures [prefix_i, prefix_i + a_i) of the
-     sequential order, where a_i clamps the vector's cost against what
-     is left of [limit] before it *)
-  let allowance limit =
-    let a = Array.make n 0 in
-    let prefix = ref 0 in
-    for i = 0 to n - 1 do
-      let room = if !prefix >= limit then 0 else limit - !prefix in
-      a.(i) <- min costs.(i) room;
-      prefix := sat_add !prefix costs.(i)
-    done;
-    a
-  in
-  let struct_allow = allowance bounds.max_structures in
-  let step_cap = Option.bind ctl Engine.remaining_steps in
-  let step_allow = Option.map allowance step_cap in
-  let subs = Array.make n None in
-  let stop = Option.map Engine.interrupted ctl in
-  let result =
-    Par.find_min pool ?stop ~tasks:n (fun ~stop i ->
-        let explore =
-          match step_allow with
-          | None -> struct_allow.(i)
-          | Some sa -> min struct_allow.(i) sa.(i)
-        in
-        if explore = 0 then None
-        else begin
-          let sub =
-            Option.map
-              (fun c ->
-                match step_allow with
-                | Some sa -> Engine.fork c ~max_steps:sa.(i) ()
-                | None -> Engine.fork c ())
-              ctl
-          in
-          subs.(i) <- sub;
-          let budget = ref struct_allow.(i) in
-          match
-            run_vector ~stop ~budget ~ctl:sub schema ~sigma ~phi prepared.(i)
-          with
-          | () -> None
-          | exception Found t -> Some t
-          | exception Budget -> None
-          | exception Stopped -> None
-        end)
-  in
-  (match ctl with
-  | None -> ()
-  | Some c ->
-      (* fold the workers' accounting back in; with a decisive witness,
-         racy slice exhaustions in losing tasks must not record a trip
-         the sequential run would never have hit *)
-      let trips = result = None in
-      Array.iter
-        (function Some sub -> Engine.absorb ~trips c sub | None -> ())
-        subs;
-      (* a task whose step slice was zero never forks a child, so the
-         sequential would-have-tripped case is recorded explicitly *)
-      (match step_cap with
-      | Some cap when result = None && total_cost > cap ->
-          Engine.trip c Verdict.Steps
-      | _ -> ()));
-  Ok result
+  Seq.map
+    (prepare schema ~bounds ~classes ~atoms)
+    (List.to_seq (count_vectors (List.length classes) bounds.max_per_class))
 
-let count_structures_value ~bounds schema ~classes ~atoms =
-  List.fold_left
-    (fun acc counts ->
-      sat_add acc
-        (vector_cost (prepare schema ~bounds ~classes ~atoms counts)))
-    0
-    (count_vectors (List.length classes) bounds.max_per_class)
-
-let find_countermodel_inner ?ctl ?pool ~bounds schema ~sigma ~phi =
+let find_countermodel_inner ?ctl ~bounds schema ~sigma ~phi =
   match supported schema with
   | Error _ as e -> e
   | Ok () -> (
-      let classes = Mschema.classes schema in
-      let atoms =
-        List.filter_map
-          (function Mtype.Atomic b -> Some b | _ -> None)
-          (SG.sorts schema)
-      in
-      let seq () =
-        let budget = ref bounds.max_structures in
-        try
-          List.iter
-            (fun counts ->
-              run_vector ~budget ~ctl schema ~sigma ~phi
-                (prepare schema ~bounds ~classes ~atoms counts))
-            (count_vectors (List.length classes) bounds.max_per_class);
-          Ok None
-        with
-        | Found t -> Ok (Some t)
-        | Budget -> Ok None
-      in
-      match pool with
-      | Some p
-        when Par.jobs p > 1
-             && count_structures_value ~bounds schema ~classes ~atoms
-                >= parallel_threshold ->
-          find_par ~pool:p ~ctl ~bounds schema ~sigma ~phi ~classes ~atoms
-      | _ -> seq ())
+      let budget = ref bounds.max_structures in
+      try
+        Seq.iter
+          (run_vector ~budget ~ctl schema ~sigma ~phi)
+          (vectors ~bounds schema);
+        Ok None
+      with
+      | Found t -> Ok (Some t)
+      | Budget -> Ok None)
 
 let c_route_typed_search =
   Obs.Counter.tag
     (Obs.Counter.family ~unit_:"decisions" ~label:"route" "decision.route")
     "typed-search"
 
-let find_countermodel ?ctl ?pool ?(bounds = default_bounds) schema ~sigma ~phi
-    =
+let find_countermodel ?ctl ?(bounds = default_bounds) schema ~sigma ~phi =
   Obs.Span.with_ "typed_search.find_countermodel" (fun () ->
       Obs.Counter.incr c_route_typed_search;
-      find_countermodel_inner ?ctl ?pool ~bounds schema ~sigma ~phi)
+      find_countermodel_inner ?ctl ~bounds schema ~sigma ~phi)
 
 let count_structures ?(bounds = default_bounds) schema =
   match supported schema with
   | Error _ as e -> e
   | Ok () ->
-      let classes = Mschema.classes schema in
-      let atoms =
-        List.filter_map
-          (function Mtype.Atomic b -> Some b | _ -> None)
-          (SG.sorts schema)
-      in
       Ok
         (min bounds.max_structures
-           (count_structures_value ~bounds schema ~classes ~atoms))
+           (Seq.fold_left
+              (fun acc p -> sat_add acc (vector_cost p))
+              0 (vectors ~bounds schema)))

@@ -27,7 +27,6 @@ val default_bounds : bounds
 
 val find_countermodel :
   ?ctl:Engine.t ->
-  ?pool:Par.t ->
   ?bounds:bounds ->
   Schema.Mschema.t ->
   sigma:Pathlang.Constr.t list ->
@@ -44,16 +43,9 @@ val find_countermodel :
     [bounds.max_structures]); query [Engine.tripped ctl] afterwards to
     distinguish an exhausted budget from an exhausted space.
 
-    With a [?pool] of more than one domain, the count vectors are
-    searched concurrently, one task per vector, each task holding a
-    prefix-clamped slice of the structure and step budgets: the union
-    of the explored regions is exactly the prefix the sequential scan
-    explores, and the least-vector hit wins, so the verdict — witness,
-    [None], and whether the step budget trips — is identical to the
-    sequential run's (step {e counts} may differ on refuted instances,
-    where workers race past the witness).  Each task ticks its own
-    {!Engine.fork}ed child; the children are absorbed into [ctl] after
-    the join. *)
+    The scan is sequential: the whole default space over [bib_m]
+    takes a few milliseconds, too little work for a domain fan-out to
+    pay for (DESIGN.md section 15). *)
 
 val count_structures :
   ?bounds:bounds -> Schema.Mschema.t -> (int, string) result

@@ -28,7 +28,8 @@ let gen_soup =
     [
       "a"; "b"; "eps"; "."; "->"; "<-"; ":"; " "; "\n"; "#"; "0"; "1"; "9999";
       "-1"; "<"; ">"; "</"; "/>"; "<a>"; "</a>"; "<word"; "lhs="; "\"a.b\"";
-      "&lt;"; "&"; ";"; "<!--"; "-->"; "<?xml?>"; "="; "'";
+      "&lt;"; "&"; ";"; "<!--"; "-->"; "<?xml?>"; "="; "'"; "*"; "|"; "(";
+      ")"; "["; "]"; "{"; "}"; "\""; "class"; "interface";
     ]
   in
   QCheck.Gen.(
@@ -47,6 +48,20 @@ let parsers =
      fun s -> Result.map ignore (Xmlrep.To_graph.graph_of_string s));
     ("Constraints_xml.parse",
      fun s -> Result.map ignore (Xmlrep.Constraints_xml.parse s));
+    ("Rpq.Parser.parse",
+     fun s ->
+       Result.map ignore (Rpq.Parser.parse s)
+       |> Result.map_error Rpq.Parser.error_to_string);
+    ("Rpq.Regex.parse", fun s -> Result.map ignore (Rpq.Regex.parse s));
+    ("Config.parse", fun s -> Result.map ignore (Analysis.Config.parse s));
+    ("Schema_parser.of_string_spanned",
+     fun s ->
+       Result.map ignore (Schema.Schema_parser.of_string_spanned s)
+       |> Result.map_error (fun (e : Schema.Schema_parser.error) ->
+              e.Schema.Schema_parser.reason));
+    ("Odl.parse", fun s -> Result.map ignore (Schema.Odl.parse s));
+    ("Json.parse", fun s -> Result.map ignore (Obs.Json.parse s));
+    ("Axioms.of_sexp", fun s -> Result.map ignore (Core.Axioms.of_sexp s));
   ]
 
 let fuzz_tests gen gen_name =

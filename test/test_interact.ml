@@ -194,6 +194,25 @@ let test_gating () =
   Sys.remove cfg;
   check_contains out "[PC701]"
 
+(* --fix re-lints the edited file for its report; that report must keep
+   the user's --interact, so PC700 still fires on a copy of the core
+   fixture (which has nothing to autofix) *)
+let test_fix_keeps_interact () =
+  let p =
+    write_temp ".constraints"
+      (In_channel.with_open_text (fixture "core.constraints")
+         In_channel.input_all)
+  in
+  let code, out =
+    run
+      (Printf.sprintf "lint -s %s --schema %s --interact --fix"
+         (Filename.quote p)
+         (Filename.quote (fixture "lint.schema")))
+  in
+  Sys.remove p;
+  check_contains out "[PC700]";
+  Alcotest.(check int) "PC700 is an error: exit 1" 1 code
+
 (* --- satellite: PC7xx suppression pragmas and family severity ------------- *)
 
 let test_family_suppression () =
@@ -405,6 +424,8 @@ let () =
             test_gating;
           Alcotest.test_case "interact flag is a cache key part" `Quick
             test_interact_cache_key_part;
+          Alcotest.test_case "--fix keeps --interact" `Quick
+            test_fix_keeps_interact;
         ] );
       ( "suppression and severity",
         [

@@ -92,76 +92,7 @@ let prop_find_countermodel_deterministic =
           Par.with_pool ~jobs (fun pool -> eq_graph_opt seq (f pool)))
         job_counts)
 
-(* --- Typed_search.find_countermodel ------------------------------------ *)
-
-let show_typed_opt = function
-  | Error e -> "Error " ^ e
-  | Ok None -> "Ok None"
-  | Ok (Some t) -> "Ok Some\n" ^ Sgraph.Io.to_string t.Schema.Typecheck.graph
-
-let eq_typed_opt a b =
-  match (a, b) with
-  | Error a, Error b -> a = b
-  | Ok None, Ok None -> true
-  | Ok (Some a), Ok (Some b) ->
-      Sgraph.Io.to_string a.Schema.Typecheck.graph
-      = Sgraph.Io.to_string b.Schema.Typecheck.graph
-  | _ -> false
-
 let p = Path.of_string
-
-let test_typed_search_refuted_identical () =
-  let schema = Schema.Mschema.bib_m in
-  let sigma = [ Constr.word ~lhs:(p "book") ~rhs:(p "book.ref") ] in
-  let phi = Constr.word ~lhs:(p "person") ~rhs:(p "person.wrote.author") in
-  match
-    same_at_all_job_counts "typed refuted" ~eq:eq_typed_opt ~show:show_typed_opt
-      (fun pool ->
-        Core.Typed_search.find_countermodel ?pool schema ~sigma ~phi)
-  with
-  | Ok (Some _) -> ()
-  | other -> Alcotest.failf "expected a countermodel, got %s" (show_typed_opt other)
-
-let test_typed_search_exhausted_identical () =
-  let schema = Schema.Mschema.bib_m in
-  let sigma = [ Constr.word ~lhs:(p "book") ~rhs:(p "book.ref") ] in
-  (* tautology: the whole bounded space is scanned on every run *)
-  let phi = Constr.word ~lhs:(p "person") ~rhs:(p "person") in
-  match
-    same_at_all_job_counts "typed exhausted" ~eq:eq_typed_opt
-      ~show:show_typed_opt (fun pool ->
-        Core.Typed_search.find_countermodel ?pool schema ~sigma ~phi)
-  with
-  | Ok None -> ()
-  | other -> Alcotest.failf "expected Ok None, got %s" (show_typed_opt other)
-
-(* budget exhaustion: the step budget trips identically — the parallel
-   search must explore exactly the sequential prefix, no more *)
-let test_typed_search_budget_trip_identical () =
-  let schema = Schema.Mschema.bib_m in
-  let sigma = [ Constr.word ~lhs:(p "book") ~rhs:(p "book.ref") ] in
-  let phi = Constr.word ~lhs:(p "person") ~rhs:(p "person") in
-  let outcome pool =
-    let ctl =
-      Core.Engine.start (Core.Engine.Budget.steps_nodes 40 100_000)
-    in
-    let r = Core.Typed_search.find_countermodel ~ctl ?pool schema ~sigma ~phi in
-    (r, Core.Engine.tripped ctl)
-  in
-  let seq_r, seq_trip = outcome None in
-  check_bool "sequential run trips its step budget" true (seq_trip <> None);
-  List.iter
-    (fun jobs ->
-      Par.with_pool ~jobs (fun pool ->
-          let par_r, par_trip = outcome pool in
-          check_bool
-            (Printf.sprintf "verdict identical at %d jobs" jobs)
-            true
-            (eq_typed_opt seq_r par_r);
-          check_bool
-            (Printf.sprintf "trip reason identical at %d jobs" jobs)
-            true (seq_trip = par_trip)))
-    job_counts
 
 (* --- Semidecide: the full pipeline ------------------------------------- *)
 
@@ -198,15 +129,6 @@ let () =
             test_iter_minimal_mask_witness;
           Alcotest.test_case "full coverage" `Quick test_iter_full_coverage;
           prop_find_countermodel_deterministic;
-        ] );
-      ( "typed_search",
-        [
-          Alcotest.test_case "refuted identical" `Quick
-            test_typed_search_refuted_identical;
-          Alcotest.test_case "exhausted identical" `Quick
-            test_typed_search_exhausted_identical;
-          Alcotest.test_case "budget trip identical" `Quick
-            test_typed_search_budget_trip_identical;
         ] );
       ( "semidecide",
         [

@@ -48,6 +48,20 @@ let test_count_structures () =
   | Ok n -> check_bool "positive" true (n > 0)
   | Error e -> Alcotest.fail e
 
+(* a controller's step budget bounds the scan: a tautology exhausts
+   the bounded space without a witness, so 40 steps must trip first *)
+let test_step_budget_trips () =
+  let ctl = Core.Engine.start (Core.Engine.Budget.steps_nodes 40 100_000) in
+  (match
+     TS.find_countermodel ~ctl bib ~sigma:[ c_word "book" "book.ref" ]
+       ~phi:(c_word "person" "person")
+   with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "a tautology has no countermodel"
+  | Error e -> Alcotest.fail e);
+  check_bool "step budget tripped" true
+    (Core.Engine.tripped ctl = Some Core.Verdict.Steps)
+
 (* --- cross-validation with Typed_m ----------------------------------------- *)
 
 let prop_completeness_within_bounds =
@@ -162,6 +176,7 @@ let () =
           Alcotest.test_case "respects sigma" `Quick test_respects_sigma;
           Alcotest.test_case "unsupported schema" `Quick test_unsupported_schema;
           Alcotest.test_case "count" `Quick test_count_structures;
+          Alcotest.test_case "step budget trips" `Quick test_step_budget_trips;
         ] );
       ( "cross-validation",
         [ prop_never_contradicts_typed_m; prop_completeness_within_bounds ] );
